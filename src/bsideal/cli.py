@@ -58,6 +58,7 @@ from .solver import (
     InvertibleTwistError,
     SolveBounds,
     SolveCapExceeded,
+    cell_cap,
     sample_ideal,
     verify,
 )
@@ -656,6 +657,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.slope_bound is not None and args.slope_bound < 1:
         print("error: --slope-bound must be positive", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        cell_cap()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     try:

@@ -19,45 +19,40 @@ FracRow = dict[int, Fraction]
 
 def clear_row(row: dict[int, Fraction | int]) -> IntRow:
     """Scale one equation so all coefficients are coprime integers."""
-    items = [(j, Fraction(c)) for j, c in row.items() if c]
+    items = [(j, c) for j, c in row.items() if c]
     if not items:
         return {}
-    lcm = 1
-    for _, c in items:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = {j: int(c * lcm) for j, c in items}
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
+    lcm = math.lcm(*(c.denominator for _, c in items))
+    ints = {j: c.numerator * (lcm // c.denominator) for j, c in items}
+    g = math.gcd(*ints.values())
     return {j: v // g for j, v in ints.items()}
 
 
 def _normalize(row: IntRow) -> IntRow:
-    row = {j: v for j, v in row.items() if v}
+    """Primitive form, leading entry positive, of a row with no zero entries."""
     if not row:
         return row
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, v)
-    lead = min(row)
-    if row[lead] < 0:
+    g = math.gcd(*row.values())
+    if row[min(row)] < 0:
         g = -g
-    return {j: v // g for j, v in row.items()}
+    return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
 def _eliminate(row: IntRow, piv: IntRow, col: int) -> IntRow:
-    """Fraction-free update: piv[col]*row - row[col]*piv."""
-    a = piv[col]
+    """Fraction-free update: piv[col]*row - row[col]*piv, made primitive."""
     b = row.get(col, 0)
     if not b:
         return row
-    out = {j: a * v for j, v in row.items()}
+    a = piv[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
     for j, v in piv.items():
         s = out.get(j, 0) - b * v
         if s:
             out[j] = s
         else:
-            out.pop(j, None)
+            del out[j]
     return _normalize(out)
 
 
@@ -69,52 +64,76 @@ def rref(
     Returns (pivot_column, row) pairs sorted by pivot column; every row is
     primitive with positive pivot.  Columns >= pivot_limit are never chosen
     as pivots (used to keep an augmented right-hand side out of the basis).
+
+    The forward pass visits columns in ascending order, takes the shortest
+    working row holding the column as pivot row (the earliest on a tie) and
+    eliminates the column from the other working rows that hold it, found
+    through a column index.  Placed rows are left alone until one
+    back-substitution pass in descending pivot order.
     """
-    work: list[IntRow] = []
-    for r in rows:
+    work: dict[int, IntRow] = {}
+    # column -> ids of working rows that held it when listed; a row that
+    # lost the column since is skipped when the column comes up
+    holders: dict[int, list[int]] = {}
+    for i, r in enumerate(rows):
         nr = _normalize(clear_row(r))
         if nr:
-            work.append(nr)
+            work[i] = nr
+            for j in nr:
+                holders.setdefault(j, []).append(i)
     placed: list[tuple[int, IntRow]] = []
-    all_cols = sorted({j for r in work for j in r})
-    for col in all_cols:
+    for col in sorted(holders):
         if pivot_limit is not None and col >= pivot_limit:
             continue
-        best = None
-        for idx, r in enumerate(work):
-            if col in r and (best is None or len(r) < len(work[best])):
-                best = idx
-        if best is None:
+        held = {i for i in holders.pop(col) if col in work.get(i, ())}
+        if not held:
             continue
+        best = min(held, key=lambda i: (len(work[i]), i))
         piv = work.pop(best)
-        if piv[col] < 0:
-            piv = {j: -v for j, v in piv.items()}
-        work = [_eliminate(r, piv, col) for r in work]
-        work = [r for r in work if r]
-        placed = [(c, _eliminate(r, piv, col)) for c, r in placed]
+        held.discard(best)
+        for i in held:
+            old = work[i]
+            new = _eliminate(old, piv, col)
+            for j in new.keys() - old.keys():
+                holders[j].append(i)
+            if new:
+                work[i] = new
+            else:
+                del work[i]
         placed.append((col, piv))
-    leftovers = [r for r in work if r]
-    placed.sort(key=lambda t: t[0])
+    # Every placed row is zero in the earlier pivot columns, so reducing in
+    # descending pivot order never brings a pivot column back.
+    above: dict[int, list[int]] = {c: [] for c, _ in placed}
+    for k, (c, r) in enumerate(placed):
+        for j in r:
+            if j != c and j in above:
+                above[j].append(k)
+    for col, piv in reversed(placed):
+        for k in above[col]:
+            c, r = placed[k]
+            placed[k] = (c, _eliminate(r, piv, col))
     # rows with no eligible pivot column (pure right-hand side) keep pivot -1
-    return placed + [(-1, r) for r in leftovers]
+    return placed + [(-1, r) for r in work.values()]
 
 
 def nullspace(
     rows: Iterable[dict[int, Fraction | int]], ncols: int
 ) -> list[FracRow]:
-    """Basis of the right nullspace, one vector per free column, ascending."""
+    """Basis of the right nullspace, one vector per free column, ascending.
+
+    Every row holds columns below ncols only.  The vector of free column f
+    is 1 at f and -row[f]/row[p] at the pivot p of each reduced row holding
+    f, so one walk over the reduced rows reads the whole basis.
+    """
     reduced = rref(rows, pivot_limit=ncols)
-    pivots = {c: r for c, r in reduced if c >= 0}
-    basis: list[FracRow] = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec: FracRow = {f: Fraction(1)}
-        for p, r in pivots.items():
-            if f in r:
-                vec[p] = Fraction(-r[f], r[p])
-        basis.append(vec)
-    return basis
+    pivots = {p for p, _ in reduced}
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    for p, r in reduced:
+        lead = r[p]
+        for f, v in r.items():
+            if f != p:
+                basis[f][p] = Fraction(-v, lead)
+    return list(basis.values())
 
 
 def solve(

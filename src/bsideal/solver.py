@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -31,7 +32,6 @@ from .weyl import (
     WeylOperator,
     apply,
     format_operator,
-    lift_s,
     partial_derivative,
 )
 
@@ -106,12 +106,28 @@ def _validate_twist(ctx: GermContext, a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _cell_cap() -> int:
+def cell_cap() -> int:
+    """The cap on rows x columns from BSIDEAL_MAX_CELLS, or the default.
+
+    Raises ValueError when the variable is set to anything but a positive
+    integer.
+    """
     raw = os.environ.get(_CELL_CAP_ENV, "")
-    try:
-        return int(raw) if raw else _DEFAULT_CELL_CAP
-    except ValueError:
+    if not raw:
         return _DEFAULT_CELL_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ValueError(f"{_CELL_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _shifted(poly: MPoly, shift: Exps) -> Iterable[tuple[Exps, Fraction]]:
+    """Terms of poly times the monomial whose exponents are shift."""
+    for mono, c in poly.terms.items():
+        yield tuple(map(add, mono, shift)), c
 
 
 def find_bs_pair(
@@ -119,12 +135,16 @@ def find_bs_pair(
     a: Sequence[int],
     bounds: SolveBounds,
     d_support: Iterable[Exps] | None = None,
+    *,
+    _germs: dict[Exps, GermElement] | None = None,
 ) -> BSCertificate | None:
     """Minimal certificate within the bounded ansatz, or None.
 
     d_support restricts which d-monomials the operator may use (defaults to
     every monomial of order up to the bound); it is how sampling strategies
     differ.  Every returned certificate has monic b and passes `verify`.
+    `sample_ideal` passes one beta -> germ table for the twist a to all of
+    its strategies through _germs, so each derivative is taken once.
     """
     a = _validate_twist(ctx, a)
     n, r = ctx.n, ctx.r
@@ -139,7 +159,8 @@ def find_bs_pair(
         if (0,) * n not in betas:
             betas.insert(0, (0,) * n)
 
-    germs: dict[Exps, GermElement] = {(0,) * n: GermElement.power(ctx, a)}
+    germs = {} if _germs is None else _germs
+    germs.setdefault((0,) * n, GermElement.power(ctx, a))
 
     def germ_for(beta: Exps) -> GermElement:
         g = germs.get(beta)
@@ -165,25 +186,29 @@ def find_bs_pair(
     ucols: list[tuple[Exps, Exps, Exps]] = [
         (beta, alpha, sigma) for beta in betas for alpha in alphas for sigma in sigmas
     ]
-    ncols = len(ucols) + len(taus)
+    U = len(ucols)
+    ncols = U + len(taus)
 
+    # Column (beta, alpha, sigma) is germs[beta] brought to the common
+    # denominator f^M, times x^alpha s^sigma: one product per beta, then
+    # exponent shifts.  Column U + t is -f^(M - a) s^taus[t].
     rows: dict[Exps, dict[int, Fraction]] = {}
-
-    def add_column(col: int, poly: MPoly) -> None:
-        for mono, c in poly.terms.items():
-            rows.setdefault(mono, {})[col] = c
-
-    for t, (beta, alpha, sigma) in enumerate(ucols):
+    col = 0
+    for beta in betas:
         g = germs[beta]
-        lift = ctx.f_power(tuple(x - y for x, y in zip(M, g.denom)))
-        mono = MPoly.monomial(ctx.nvars, tuple(alpha) + tuple(sigma))
-        add_column(t, g.num * lift * mono)
-    rhs_lift = ctx.f_power(tuple(x - y for x, y in zip(M, a)))
-    for t, tau in enumerate(taus):
-        mono = MPoly.monomial(ctx.nvars, (0,) * n + tuple(tau))
-        add_column(len(ucols) + t, -(rhs_lift * mono))
+        base = g.num * ctx.f_power(tuple(x - y for x, y in zip(M, g.denom)))
+        for alpha in alphas:
+            for sigma in sigmas:
+                for mono, c in _shifted(base, alpha + sigma):
+                    rows.setdefault(mono, {})[col] = c
+                col += 1
+    rhs = -ctx.f_power(tuple(x - y for x, y in zip(M, a)))
+    for tau in taus:
+        for mono, c in _shifted(rhs, (0,) * n + tau):
+            rows.setdefault(mono, {})[col] = c
+        col += 1
 
-    cap = _cell_cap()
+    cap = cell_cap()
     if len(rows) * ncols > cap:
         raise SolveCapExceeded(
             f"linear system of {len(rows)}x{ncols} exceeds cap {cap} "
@@ -193,13 +218,12 @@ def find_bs_pair(
     ordered_rows = [rows[m] for m in sorted(rows, key=grlex_key, reverse=True)]
     basis = linalg.nullspace(ordered_rows, ncols)
 
-    projections = []
-    for vec in basis:
-        proj = {j - len(ucols): v for j, v in vec.items() if j >= len(ucols) and v}
-        if proj:
-            projections.append(proj)
-    if not projections:
+    # Operator columns come first, so a kernel vector has a b-part exactly
+    # when its free column max(vec) is a b column.
+    b_vectors = [vec for vec in basis if max(vec) >= U]
+    if not b_vectors:
         return None
+    projections = [{j - U: v for j, v in vec.items() if j >= U} for vec in b_vectors]
 
     reduced = linalg.rref_rational(projections, len(taus))
     # columns are sorted by descending monomial, so the last pivot is the
@@ -207,26 +231,21 @@ def find_bs_pair(
     _, vstar = reduced[-1]
     b = MPoly(r, {taus[j]: c for j, c in vstar.items()})
 
-    aug = []
-    for row in ordered_rows:
-        new: dict[int, Fraction] = {}
-        rhs = Fraction(0)
-        for j, c in row.items():
-            if j < len(ucols):
-                new[j] = c
-            else:
-                rhs -= c * vstar.get(j - len(ucols), Fraction(0))
-        if rhs:
-            new[len(ucols)] = rhs
-        if new:
-            aug.append(new)
-    u = linalg.solve(aug, len(ucols))
-    if u is None:  # pragma: no cover - system is consistent by construction
-        raise SolverError("check-failed: inconsistent recovery system")
+    # The kernel vector with b-part vstar is sum vstar[f - U] * vec over the
+    # b_vectors (vec is 1 at its free column f, 0 at the others); its
+    # operator part is the solution with every free operator column at 0.
+    u: dict[int, Fraction] = {}
+    for vec in b_vectors:
+        w = vstar.get(max(vec) - U)
+        if not w:
+            continue
+        for j, v in vec.items():
+            if j < U:
+                u[j] = u.get(j, 0) + w * v
 
     op_terms: dict[tuple[Exps, Exps], MPoly] = {}
     for t, (beta, alpha, sigma) in enumerate(ucols):
-        c = u[t]
+        c = u.get(t)
         if not c:
             continue
         key = (alpha, beta)
@@ -266,8 +285,10 @@ def sample_ideal(
     """
     a = _validate_twist(ctx, a)
     found: dict[MPoly, tuple[str, BSCertificate]] = {}
+    # every strategy's d-support lies inside "mixed", which runs first
+    germs: dict[Exps, GermElement] = {}
     for name, support in _strategies(ctx.n, bounds.max_operator_order):
-        cert = find_bs_pair(ctx, a, bounds, d_support=support)
+        cert = find_bs_pair(ctx, a, bounds, d_support=support, _germs=germs)
         if cert is None or cert.b in found:
             continue
         found[cert.b] = (name, cert)

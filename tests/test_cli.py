@@ -230,6 +230,16 @@ def test_graph_wrong_rank_rejected(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5", "0", "1.5"])
+def test_malformed_cell_cap_is_usage_error(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("BSIDEAL_MAX_CELLS", raw)
+    path = write_entry(tmp_path)
+    code, out, err = run(["run", path], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: BSIDEAL_MAX_CELLS must be a positive integer, got {raw!r}\n"
+
+
 def test_slope_bound_flag_validation(tmp_path, capsys):
     path = write_entry(tmp_path)
     code, _, err = run(["run", path, "--slope-bound", "0"], capsys)

@@ -3,15 +3,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from bsideal.linalg import clear_row, nullspace, rref, rref_rational, solve
 
 
-def dense_rref(rows, ncols):
+def dense_rref(rows, ncols, pivot_limit=None):
     """Textbook Gauss-Jordan over Fraction, returns reduced dense rows."""
     mat = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
     piv = 0
     pivots = []
-    for col in range(ncols):
+    for col in range(ncols if pivot_limit is None else pivot_limit):
         hit = next((i for i in range(piv, len(mat)) if mat[i][col] != 0), None)
         if hit is None:
             continue
@@ -21,7 +23,7 @@ def dense_rref(rows, ncols):
         for i in range(len(mat)):
             if i != piv and mat[i][col] != 0:
                 f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[piv])]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[piv])]
         pivots.append(col)
         piv += 1
     return mat[:piv], pivots
@@ -38,6 +40,47 @@ def rand_rows(rng, nrows, ncols, density=0.6):
                     row[j] = v
         rows.append(row)
     return rows
+
+
+def sparse_rows(rng, ncols):
+    """Sparse rows with duplicate, scaled, dependent and empty rows mixed in."""
+    rows = rand_rows(rng, rng.randint(ncols // 2, ncols + 10), ncols, density=0.08)
+    for _ in range(rng.randint(3, 8)):
+        kind = rng.choice(("duplicate", "scaled", "dependent", "empty"))
+        r1, r2 = rng.choice(rows), rng.choice(rows)
+        if kind == "duplicate":
+            new = dict(r1)
+        elif kind == "scaled":
+            c = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))
+            new = {j: c * v for j, v in r1.items()}
+        elif kind == "dependent":
+            c1, c2 = rng.randint(-3, 3), rng.randint(-3, 3)
+            new = {j: c1 * r1.get(j, 0) + c2 * r2.get(j, 0) for j in set(r1) | set(r2)}
+            new = {j: v for j, v in new.items() if v}
+        else:
+            new = {}
+        rows.insert(rng.randint(0, len(rows)), new)
+    return rows
+
+
+def monic_dense(col, row, ncols):
+    lead = Fraction(row[col])
+    return [Fraction(row.get(j, 0)) / lead for j in range(ncols)]
+
+
+def dense_nullspace(rows, ncols):
+    """Kernel basis from the dense oracle: 1 at a free column, 0 at the others."""
+    reduced, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = {f: Fraction(1)}
+        for p, row in zip(pivots, reduced):
+            if row[f]:
+                vec[p] = -row[f]
+        basis.append(vec)
+    return basis
 
 
 def test_clear_row():
@@ -58,6 +101,77 @@ def test_rref_matches_dense_oracle():
         for (col, row), dense in zip(got, want):
             lead = Fraction(row[col])
             assert [Fraction(row.get(j, 0)) / lead for j in range(ncols)] == dense
+
+
+def test_rref_matches_dense_oracle_large_sparse():
+    rng = random.Random(408)
+    for _ in range(12):
+        ncols = rng.randint(30, 60)
+        rows = sparse_rows(rng, ncols)
+        got = rref(rows, ncols)
+        want, want_pivots = dense_rref(rows, ncols)
+        assert [c for c, _ in got] == want_pivots
+        for (col, row), dense in zip(got, want):
+            assert row[col] > 0
+            assert monic_dense(col, row, ncols) == dense
+
+
+def test_rref_pivot_limit_keeps_augmented_column_out():
+    rng = random.Random(409)
+    for trial in range(12):
+        ncols = rng.randint(30, 60)
+        a_rows = sparse_rows(rng, ncols)
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
+        aug = []
+        for row in a_rows:
+            rhs = sum(v * x[j] for j, v in row.items())
+            aug.append({**row, ncols: rhs} if rhs else dict(row))
+        if trial % 2:
+            # a row whose left side is a combination of others but whose
+            # right side disagrees makes the system inconsistent
+            aug.append({**a_rows[0], ncols: aug[0].get(ncols, 0) + 1})
+        got = rref(aug, pivot_limit=ncols)
+        placed = [(c, r) for c, r in got if c >= 0]
+        leftovers = [r for c, r in got if c < 0]
+        assert [c for c, _ in got] == sorted(c for c, _ in placed) + [-1] * len(leftovers)
+        _, want_pivots = dense_rref(a_rows, ncols)
+        assert [c for c, _ in placed] == want_pivots
+        if trial % 2:
+            # the row space holds the lone right-hand side; only the left
+            # parts of the pivot rows are determined
+            assert leftovers and all(r == {ncols: 1} for r in leftovers)
+            want, _ = dense_rref(a_rows, ncols)
+            for (col, row), dense in zip(placed, want):
+                assert monic_dense(col, row, ncols) == dense
+        else:
+            assert leftovers == []
+            want, _ = dense_rref(aug, ncols + 1, pivot_limit=ncols)
+            for (col, row), dense in zip(placed, want):
+                assert monic_dense(col, row, ncols + 1) == dense
+
+
+def test_nullspace_large_sparse_matches_dense_oracle():
+    rng = random.Random(410)
+    for _ in range(12):
+        ncols = rng.randint(30, 60)
+        rows = sparse_rows(rng, ncols)
+        assert nullspace(rows, ncols) == dense_nullspace(rows, ncols)
+
+
+def test_nullspace_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(411)
+    for _ in range(6):
+        ncols = rng.randint(30, 60)
+        rows = sparse_rows(rng, ncols)
+        mat = sympy.Matrix(
+            [[sympy.Rational(str(Fraction(r.get(j, 0)))) for j in range(ncols)] for r in rows]
+        )
+        want = [
+            {j: Fraction(int(v.p), int(v.q)) for j, v in enumerate(vec) if v}
+            for vec in mat.nullspace()
+        ]
+        assert nullspace(rows, ncols) == want
 
 
 def test_nullspace_annihilates():

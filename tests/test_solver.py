@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bsideal import linalg, solver
 from bsideal.polynomials import MPoly, parse_poly, s_names
 from bsideal.solver import (
     BSCertificate,
@@ -138,6 +139,71 @@ def test_twist_validation():
         find_bs_pair(ctx, (-1,), SolveBounds(1, 0, 0, 1))
     with pytest.raises(ValueError):
         find_bs_pair(ctx, (1, 1), SolveBounds(1, 0, 0, 1))
+
+
+# Certificates and the (rows, columns, nonzeros) of every system handed to
+# linalg.nullspace, one per strategy.  They were recorded from a solver that
+# multiplied whole polynomials per column and recovered P by a second
+# elimination, so they pin P and the system against how both are computed.
+PINNED = [
+    (
+        "x^2 + y^3",
+        (3, 3, 2, 3),
+        {
+            "F": ["y^3 + x^2"],
+            "a": [1],
+            "b": "s^3 + 3*s^2 + 107/36*s + 35/36",
+            "P": "1/12*y*dx^2*dy + 1/27*dy^3 + (1/4*s + 3/8)*dx^2",
+        },
+        [(308, 304, 1812), (257, 124, 702), (244, 124, 822), (124, 64, 158)],
+    ),
+    (
+        "x^3 + y^3",
+        (4, 4, 3, 4),
+        {
+            "F": ["x^3 + y^3"],
+            "a": [1],
+            "b": "s^4 + 4*s^3 + 53/9*s^2 + 34/9*s + 8/9",
+            "P": "2/81*y*dx^3*dy + (-2/81)*y*dy^4 + (1/27*s + 2/27)*dx^3 "
+            "+ (1/9*s + 2/27)*dy^3",
+        },
+        [(754, 905, 8120), (622, 305, 2780), (622, 305, 2780), (566, 185, 1280)],
+    ),
+]
+
+
+@pytest.mark.parametrize("f, box, want, sizes", PINNED, ids=[p[0] for p in PINNED])
+def test_pinned_certificates_and_system_sizes(monkeypatch, f, box, want, sizes):
+    seen = []
+    nullspace = linalg.nullspace
+
+    def spy(rows, ncols):
+        seen.append((len(rows), ncols, sum(len(r) for r in rows)))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    ctx = make_ctx(["x", "y"], [f])
+    found = sample_ideal(ctx, (1,), SolveBounds(*box))
+    assert [(name, cert.to_json_dict()) for name, cert in found] == [("mixed", want)]
+    (_, cert), = found
+    assert cert.b == sp(want["b"])
+    assert verify(cert)
+    assert seen == sizes
+
+
+def test_sample_ideal_takes_each_germ_derivative_once(monkeypatch):
+    calls = []
+    derivative = solver.partial_derivative
+
+    def spy(v, j):
+        calls.append(j)
+        return derivative(v, j)
+
+    monkeypatch.setattr(solver, "partial_derivative", spy)
+    ctx = make_ctx(["x", "y"], ["x^3 + y^3"])
+    sample_ideal(ctx, (1,), SolveBounds(4, 4, 3, 4))
+    # one derivative per nonzero d-monomial of order <= 4 in two variables
+    assert len(calls) == 14
 
 
 def test_cell_cap(monkeypatch):
