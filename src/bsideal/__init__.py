@@ -18,7 +18,6 @@ from .solver import (
     SolveCapExceeded,
     SolverError,
     find_bs_pair,
-    restrict_diagonal,
     sample_ideal,
     verify,
 )
@@ -36,7 +35,6 @@ from .snc import (
     ResolutionGraph,
     graph_from_exponents,
     mon_zeta,
-    pullback_slope_check,
     reweight,
     sabbah_specialize,
     slope_set,

@@ -11,8 +11,7 @@ Problem files are JSON objects:
       "bounds": {"order": 3, "x_degree": 0, "s_degree": 0, "b_degree": 3},
       "resolution_graph": {"r": 2, "components": [{"L": [1, 1], "chi": 0},
                                                   {"L": [0, 1], "chi": 0}]},
-      "tasks": "all",
-      "slope_bound": 8
+      "tasks": "all"
     }
 
 tasks is "all" or a subset of bs-find, bs-verify, decompose, snc, zeta,
@@ -186,14 +185,8 @@ class ProblemSpec:
             )
         self.tasks = [t for t in TASKS if t in wanted]
 
-        sb = data.get("slope_bound", 8)
-        if not isinstance(sb, int) or isinstance(sb, bool) or sb < 1:
-            raise SpecError(f"{where}: 'slope_bound' must be a positive integer")
-        self.slope_bound = sb
-
         extra = set(data) - {
-            "id", "variables", "F", "a", "bounds", "resolution_graph",
-            "tasks", "slope_bound",
+            "id", "variables", "F", "a", "bounds", "resolution_graph", "tasks",
         }
         if extra:
             raise SpecError(f"{where}: unknown fields {sorted(extra)}")
@@ -275,9 +268,8 @@ def _cosets_json(cosets) -> list[dict]:
 class EntryRunner:
     """Executes one entry's tasks; memoizes solver runs per twist vector."""
 
-    def __init__(self, spec: ProblemSpec, slope_bound: int | None):
+    def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        self.slope_bound = slope_bound if slope_bound is not None else spec.slope_bound
         self._samples: dict[tuple[int, ...], list] = {}
         self._loci: dict[tuple[int, ...], tuple] = {}
 
@@ -301,7 +293,7 @@ class EntryRunner:
         common: dict[Hyperplane, int] | None = None
         residual = False
         for _, cert in self.samples(a):
-            pairs, rem = extract_hyperplanes(cert.b, self.slope_bound)
+            pairs, rem = extract_hyperplanes(cert.b)
             counts = dict(pairs)
             if common is None:
                 common = counts
@@ -370,10 +362,7 @@ class EntryRunner:
         a = self.spec.a
         slopes = slope_set(graph, a)
         b_el = snc_b_element(graph, a)
-        bound = max(
-            self.slope_bound, max((max(s) for s in slopes), default=1)
-        )
-        pairs, rem = extract_hyperplanes(b_el, bound)
+        pairs, rem = extract_hyperplanes(b_el)
         extracted = [_hyp_json(h, m, a) for h, m in pairs]
         normals = {h.normal for h, _ in pairs}
         matches = (
@@ -629,12 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true", help="emit the JSON report")
     fmt.add_argument("--text", action="store_true", help="emit the text report (default)")
     run.add_argument(
-        "--slope-bound",
-        type=int,
-        metavar="N",
-        help="override the slope search bound for every entry",
-    )
-    run.add_argument(
         "--check-golden",
         nargs="?",
         const="",
@@ -655,9 +638,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.slope_bound is not None and args.slope_bound < 1:
-        print("error: --slope-bound must be positive", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cell_cap()
     except ValueError as exc:
@@ -679,7 +659,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     entries = []
     bounds_exhausted = False
     for spec in specs:
-        entry = EntryRunner(spec, args.slope_bound).run()
+        entry = EntryRunner(spec).run()
         if entry.get("error") == "no-solution-within-bounds":
             bounds_exhausted = True
         entries.append(entry)

@@ -1,15 +1,18 @@
 """Affine hyperplanes split off the zero locus of parameter polynomials.
 
 `extract_hyperplanes` peels every linear factor L.s + b with L a
-nonnegative primitive integer slope (entries up to a bound) and b
-rational, returning factors with multiplicity plus the unfactored
-remainder; the product always reconstructs the input exactly.
+nonnegative primitive integer slope (entries of any size) and b rational,
+returning factors with multiplicity plus the unfactored remainder; the
+product always reconstructs the input exactly.  Factors whose slope has
+entries of both signs stay in the remainder.
 
-Candidate slopes come from exact division of the top-degree form by L.s;
-candidate intercepts from rational roots of the restriction of the
-polynomial to a deterministic line in direction L.  Both steps
-over-generate and every candidate is confirmed by exact division, so the
-factorization is complete for slopes within the bound.
+Candidate slopes are the linear factors L.s of the top-degree form T,
+found by recursion on the number of variables: L.s with L_1 != 0 divides
+T exactly when L_1 + L'.s' divides T(1, s'), an affine factor in one
+variable fewer.  Candidate intercepts come from rational roots of the
+restriction of the polynomial to a deterministic line in direction L;
+they over-generate and every candidate is confirmed by exact division,
+so the factorization is complete.
 """
 
 from __future__ import annotations
@@ -66,15 +69,7 @@ class Hyperplane:
         return len(self.normal)
 
     def poly(self) -> MPoly:
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for i, v in enumerate(self.normal):
-            if v:
-                e = [0] * self.r
-                e[i] = 1
-                terms[tuple(e)] = v
-        if self.intercept:
-            terms[(0,) * self.r] = self.intercept
-        return MPoly(self.r, terms)
+        return linear_form(self.normal, self.intercept)
 
     def translate(self, k: Sequence[int]) -> "Hyperplane":
         """The hyperplane whose zero set is this one translated by k."""
@@ -103,7 +98,11 @@ def linear_form(normal: Sequence[int], intercept: Scalar = 0) -> MPoly:
 
 
 def primitive_slopes(r: int, bound: int) -> list[tuple[int, ...]]:
-    """Primitive vectors in {0..bound}^r, sorted by graded lex."""
+    """Primitive vectors in {0..bound}^r, sorted by graded lex.
+
+    Not used by the pipeline; kept because bench/tracing.py wraps it by
+    name.
+    """
     out = []
     for exps in iter_monomials(r, r * bound):
         if all(e <= bound for e in exps) and any(exps):
@@ -134,28 +133,37 @@ def _restrict_to_line(
     return coeffs
 
 
-def extract_hyperplanes(
-    p: MPoly, slope_bound: int = 8
-) -> tuple[list[tuple[Hyperplane, int]], MPoly]:
-    """All hyperplane factors with slope entries <= slope_bound, plus remainder.
+def _top_slopes(top: MPoly) -> list[tuple[int, ...]]:
+    """Every nonnegative primitive L with L.s dividing the homogeneous top."""
+    r = top.nvars
+    if top.is_constant():
+        return []
+    if r == 1:
+        return [(1,)]
+    # top(1, s') loses only the factor s_1; L_1 = 0 factors keep intercept 0
+    dehom = MPoly(r - 1, {e[1:]: c for e, c in top.terms.items()})
+    out = {
+        Hyperplane.canonical((h.intercept,) + h.normal, 0).normal
+        for h, _ in extract_hyperplanes(dehom)[0]
+        if h.intercept >= 0
+    }
+    if all(e[0] > 0 for e in top.terms):
+        out.add((1,) + (0,) * (r - 1))
+    return sorted(out, key=grlex_key)
+
+
+def extract_hyperplanes(p: MPoly) -> tuple[list[tuple[Hyperplane, int]], MPoly]:
+    """All hyperplane factors with nonnegative slopes, plus remainder.
 
     Returns (sorted [(hyperplane, multiplicity)], remainder); the product of
     the factors times the remainder equals p exactly.
     """
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    if slope_bound < 1:
-        raise ValueError("slope bound must be positive")
     r = p.nvars
-    top = p.top_form()
-    candidates = [
-        L
-        for L in primitive_slopes(r, slope_bound)
-        if top.divide_exact(linear_form(L)) is not None
-    ]
     rem = p
     found: dict[Hyperplane, int] = {}
-    for L in candidates:
+    for L in _top_slopes(p.top_form()):
         if rem.is_constant():
             break
         # deterministic offset giving a nonzero line restriction
@@ -203,7 +211,6 @@ class StructureReport:
     """
 
     verdicts: tuple[HyperplaneVerdict, ...]
-    residual_factors: tuple[MPoly, ...]
 
     @property
     def all_pass(self) -> bool:
@@ -211,9 +218,7 @@ class StructureReport:
 
 
 def structure_report(
-    hyperplanes: Iterable[Hyperplane],
-    a: Sequence[int],
-    remainder: MPoly | None = None,
+    hyperplanes: Iterable[Hyperplane], a: Sequence[int]
 ) -> StructureReport:
     verdicts = []
     for h in sorted(hyperplanes, key=Hyperplane.sort_key):
@@ -227,10 +232,7 @@ def structure_report(
                 ),
             )
         )
-    residual: tuple[MPoly, ...] = ()
-    if remainder is not None and remainder.total_degree() > 0:
-        residual = (remainder,)
-    return StructureReport(tuple(verdicts), residual)
+    return StructureReport(tuple(verdicts))
 
 
 def check_translation_union(

@@ -197,14 +197,6 @@ def snc_certificate(
     return BSCertificate(ctx, a, b, P)
 
 
-def pullback_slope_check(
-    slopes: Iterable[Sequence[int]], graph: ResolutionGraph, a: Sequence[int]
-) -> bool:
-    """Every given slope occurs among the active components' slopes."""
-    allowed = set(slope_set(graph, a))
-    return all(tuple(int(x) for x in s) in allowed for s in slopes)
-
-
 @dataclass(frozen=True)
 class MonZeta:
     """Formal product prod (1 - t^v)^e over nonzero exponent vectors v."""

@@ -295,9 +295,3 @@ def sample_ideal(
     out = list(found.values())
     out.sort(key=lambda t: t[1].b.order_key())
     return out
-
-
-def restrict_diagonal(p: MPoly) -> MPoly:
-    """Substitute every s_i by a single s: Q[s_1..s_r] -> Q[s]."""
-    t = MPoly.variable(1, 0)
-    return p.compose([t] * p.nvars)

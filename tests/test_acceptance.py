@@ -72,7 +72,7 @@ def test_c01_oracle_soundness():
         ok = ok and bool(certs)
         for _, cert in certs:
             ok = ok and verify(cert)
-        exps = EntryRunner(spec, None)._monomial_exponents()
+        exps = EntryRunner(spec)._monomial_exponents()
         if exps is not None:
             cert = snc_certificate(exps, spec.a, spec.variables)
             ok = ok and verify(cert)
@@ -193,7 +193,7 @@ def test_c05_translation_identity():
 
 def exp_runner(sid, variables, F, graph):
     spec = make_spec(sid, variables, F, [1] * 2, 3, graph)
-    return EntryRunner(spec, None)
+    return EntryRunner(spec)
 
 
 def test_c06_axis_union_identities():

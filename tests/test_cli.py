@@ -166,7 +166,7 @@ def test_no_inputs_is_usage_error(capsys):
         {"tasks": ["snc"]},
         {"tasks": ["nonsense"]},
         {"tasks": []},
-        {"slope_bound": 0},
+        {"slope_bound": 8},
         {"surprise": True},
         {"id": "bad id"},
     ],
@@ -240,10 +240,24 @@ def test_malformed_cell_cap_is_usage_error(tmp_path, capsys, monkeypatch, raw):
     assert err == f"error: BSIDEAL_MAX_CELLS must be a positive integer, got {raw!r}\n"
 
 
-def test_slope_bound_flag_validation(tmp_path, capsys):
-    path = write_entry(tmp_path)
-    code, _, err = run(["run", path, "--slope-bound", "0"], capsys)
+def test_slope_bound_field_is_unknown(tmp_path, capsys):
+    path = write_entry(tmp_path, slope_bound=8)
+    code, out, err = run(["run", path], capsys)
     assert code == EXIT_USAGE
+    assert out == ""
+    assert "parse-error" in err and "unknown fields ['slope_bound']" in err
+
+
+def test_slope_bound_flag_is_rejected(tmp_path, capsys):
+    # argparse reports the unknown flag and exits 2 through SystemExit
+    path = write_entry(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--slope-bound", "8"])
+    assert exc.value.code == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --slope-bound 8" in out.err
+    assert "Traceback" not in out.err
 
 
 def test_multiple_files_and_mixed_results(tmp_path, capsys):

@@ -89,6 +89,12 @@ def test_extract_searches_nonnegative_slopes_only():
     factors, rem = extract_hyperplanes(p)
     assert factors == [(Hyperplane((1, 1), Fraction(2)), 1)]
     assert rem == sp("s1 - s2 + 1", 2)
+    p = sp("s1 - s2 + 1", 2)
+    assert extract_hyperplanes(p) == ([], p)
+    p = sp("(s1 - s2 + 1)*(9*s1 + 2*s2 + 3)", 2)
+    factors, rem = extract_hyperplanes(p)
+    assert factors == [(Hyperplane((9, 2), Fraction(3)), 1)]
+    assert rem == sp("s1 - s2 + 1", 2)
 
 
 def test_extract_constant_and_linear_input():
@@ -101,30 +107,69 @@ def test_extract_constant_and_linear_input():
 def test_extract_refactors_exactly_random():
     rng = random.Random(414)
     for _ in range(25):
-        r = rng.randint(1, 3)
+        r = rng.randint(1, 4)
         p = MPoly.const(r, Fraction(rng.randint(1, 3)))
+        built: dict[Hyperplane, int] = {}
         for _ in range(rng.randint(1, 3)):
-            normal = tuple(rng.randint(0, 2) for _ in range(r))
+            normal = tuple(rng.randint(0, 12) for _ in range(r))
             if all(v == 0 for v in normal):
                 normal = (1,) + (0,) * (r - 1)
-            p = p * linear_form(normal, Fraction(rng.randint(1, 6), rng.randint(1, 2)))
+            intercept = Fraction(rng.randint(1, 6), rng.randint(1, 2))
+            p = p * linear_form(normal, intercept)
+            h = Hyperplane.canonical(normal, intercept)
+            built[h] = built.get(h, 0) + 1
         if rng.random() < 0.4:
             p = p * (MPoly.variable(r, 0) ** 2 + 1)
         factors, rem = extract_hyperplanes(p)
+        assert dict(factors) == built
         rebuilt = rem
         for h, m in factors:
             rebuilt = rebuilt * h.poly() ** m
         assert rebuilt == p
 
 
-def test_slope_bound_controls_search():
+def test_extract_finds_slopes_of_any_size():
     p = sp("9*s1 + s2 + 1", 2)
-    factors, rem = extract_hyperplanes(p, slope_bound=8)
-    assert factors == []
-    assert rem == p
-    factors, rem = extract_hyperplanes(p, slope_bound=9)
+    factors, rem = extract_hyperplanes(p)
     assert factors == [(Hyperplane((9, 1), Fraction(1)), 1)]
     assert rem == MPoly.const(2, 1)
+    p = sp("(40*s1 + 3*s3 + 1)*(s2 + 17*s3)*s1", 3)
+    factors, rem = extract_hyperplanes(p)
+    assert factors == [
+        (Hyperplane((0, 1, 17), Fraction(0)), 1),
+        (Hyperplane((1, 0, 0), Fraction(0)), 1),
+        (Hyperplane((40, 0, 3), Fraction(1)), 1),
+    ]
+    assert rem == MPoly.const(3, 1)
+
+
+def test_extract_matches_sympy_factor_list():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(415)
+    for _ in range(15):
+        r = rng.randint(1, 4)
+        names = s_names(r)
+        syms = sympy.symbols(names)
+        text = str(rng.randint(1, 4))
+        for _ in range(rng.randint(1, 4)):
+            normal = [rng.randint(-2 if rng.random() < 0.3 else 0, 12) for _ in range(r)]
+            if all(v == 0 for v in normal):
+                normal[0] = 1
+            terms = [f"{v}*{n}" for v, n in zip(normal, names) if v]
+            text += f"*({' + '.join(terms)} + {rng.randint(0, 6)}/{rng.randint(1, 3)})"
+        if rng.random() < 0.4:
+            text += f"*({names[0]}^2 + {names[-1]}^2 + 1)"
+        factors, _ = extract_hyperplanes(sp(text, r))
+        want: dict[Hyperplane, int] = {}
+        for f, m in sympy.factor_list(sympy.sympify(text.replace("^", "**")), *syms)[1]:
+            poly = sympy.Poly(f, *syms)
+            if poly.total_degree() != 1:
+                continue
+            normal = [Fraction(str(poly.coeff_monomial(x))) for x in syms]
+            h = Hyperplane.canonical(normal, Fraction(str(poly.coeff_monomial(1))))
+            if all(v >= 0 for v in h.normal):
+                want[h] = want.get(h, 0) + m
+        assert dict(factors) == want
 
 
 def test_primitive_slopes_small():
@@ -158,13 +203,6 @@ def test_structure_report_flags():
     rep = structure_report([Hyperplane((0, 1), Fraction(1))], (1, 0))
     assert not rep.verdicts[0].has_active_index
     assert structure_report([ok], (1, 1)).all_pass
-
-
-def test_structure_report_records_residual():
-    rep = structure_report([], (1,), remainder=sp("s^2 + 1", 1))
-    assert rep.residual_factors == (sp("s^2 + 1", 1),)
-    rep = structure_report([], (1,), remainder=MPoly.const(1, 3))
-    assert rep.residual_factors == ()
 
 
 def test_check_translation_union():

@@ -13,7 +13,6 @@ from bsideal.solver import (
     SolveBounds,
     SolveCapExceeded,
     find_bs_pair,
-    restrict_diagonal,
     sample_ideal,
     verify,
 )
@@ -222,11 +221,6 @@ def test_certificate_json():
         "b": "s + 1",
         "P": "dx",
     }
-
-
-def test_restrict_diagonal():
-    p = sp("s1*s2 + s1 + 1", r=2)
-    assert restrict_diagonal(p) == sp("s^2 + s + 1")
 
 
 def test_random_twists_verify():
