@@ -7,9 +7,7 @@ from .weyl import (
     WeylOperator,
     apply,
     format_operator,
-    normal_order,
     partial_derivative,
-    specialize_integer,
 )
 from .solver import (
     BSCertificate,
@@ -44,9 +42,7 @@ from .snc import (
     support_loci,
 )
 from .torus import (
-    InconsistentBindingError,
     TorusCoset,
-    UnsupportedCodimensionError,
     check_axis_union,
     cosets_of_character,
     exp_image,

@@ -129,6 +129,14 @@ class ProblemSpec:
         if any(p.is_zero() for p in self.F):
             raise SpecError(f"{where}: entries of 'F' must be nonzero")
         self.r = len(self.F)
+        clashes = set(self.variables) & (
+            set(s_names(self.r)) | {"d" + v for v in self.variables}
+        )
+        if clashes:
+            raise SpecError(
+                f"{where}: 'variables' {sorted(clashes)} clash with the "
+                "report's parameter or derivative names"
+            )
 
         a = data.get("a")
         if (

@@ -12,7 +12,7 @@ then the exponent tuple lexicographically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Scalar = int | Fraction
@@ -110,11 +110,6 @@ class MPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded lexicographic order."""
@@ -265,19 +260,6 @@ class MPoly:
         ]
         return self.compose(reps)
 
-    def eval_at(self, point: Sequence[Scalar]) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError("need one value per variable")
-        vals = [_coerce(v) for v in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            prod = c
-            for v, k in zip(vals, e):
-                if k:
-                    prod *= v**k
-            total += prod
-        return total
-
     def embed(self, new_nvars: int, mapping: Sequence[int]) -> "MPoly":
         """Reindex variables: old variable i becomes mapping[i]."""
         if len(mapping) != self.nvars:
@@ -321,9 +303,6 @@ class MPoly:
                 else:
                     rem.pop(te, None)
         return MPoly._raw(self.nvars, {e: c for e, c in quo.items() if c})
-
-    def divides(self, multiple: "MPoly") -> bool:
-        return multiple.divide_exact(self) is not None
 
     def top_form(self) -> "MPoly":
         """Homogeneous part of highest total degree."""
@@ -497,17 +476,24 @@ def s_names(r: int) -> list[str]:
 
 
 def iter_monomials(nvars: int, max_degree: int) -> Iterator[Exponents]:
-    """All exponent tuples of total degree <= max_degree, ascending graded lex."""
+    """All exponent tuples of total degree <= max_degree, ascending graded lex.
 
-    def rec(prefix: list[int], remaining: int, budget: int) -> Iterator[Exponents]:
-        if remaining == 0:
-            yield tuple(prefix)
+    Generated lazily, degree by degree and lexicographically within a
+    degree, so a caller that stops early pays only for what it consumed.
+    """
+
+    def of_degree(remaining: int, total: int) -> Iterator[Exponents]:
+        # tuples of length `remaining` summing to `total`, ascending lex
+        if remaining == 1:
+            yield (total,)
             return
-        for k in range(budget + 1):
-            prefix.append(k)
-            yield from rec(prefix, remaining - 1, budget - k)
-            prefix.pop()
+        for k in range(total + 1):
+            for rest in of_degree(remaining - 1, total - k):
+                yield (k,) + rest
 
-    out = list(rec([], nvars, max_degree)) if max_degree >= 0 else []
-    out.sort(key=grlex_key)
-    yield from out
+    if nvars == 0:
+        if max_degree >= 0:
+            yield ()
+        return
+    for d in range(max_degree + 1):
+        yield from of_degree(nvars, d)

@@ -289,6 +289,9 @@ def sample_ideal(
     germs: dict[Exps, GermElement] = {}
     for name, support in _strategies(ctx.n, bounds.max_operator_order):
         cert = find_bs_pair(ctx, a, bounds, d_support=support, _germs=germs)
+        if cert is None and support is None:
+            # times f^(M_mixed - M_S) each kernel embeds in mixed's: no b anywhere
+            break
         if cert is None or cert.b in found:
             continue
         found[cert.b] = (name, cert)

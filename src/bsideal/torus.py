@@ -1,11 +1,11 @@
-"""Torsion-translated subtori of the r-torus, in canonical form.
+"""Torsion-translated codimension-one subtori of the r-torus, in canonical form.
 
-A coset is cut out by binding conditions lambda^v = e^(2*pi*i*theta) with
-v an integer character and theta rational; points are represented through
-their angle vectors, so all membership arithmetic happens in Q/Z and stays
-exact.  Canonicalization puts the character matrix in row Hermite normal
-form and rewrites the angles by the same unimodular transform, hence equal
-data always serializes identically.
+A coset is cut out by one binding condition lambda^v = e^(2*pi*i*theta)
+with v a nonzero integer character and theta rational; points are
+represented through their angle vectors, so all membership arithmetic
+happens in Q/Z and stays exact.  Canonicalization makes the first nonzero
+entry of v positive (flipping the sign of theta with it) and reduces theta
+into [0, 1), hence equal data always serializes identically.
 """
 
 from __future__ import annotations
@@ -18,136 +18,46 @@ from typing import Iterable, Sequence
 from .hyperplanes import Hyperplane
 
 
-class TorusError(Exception):
-    pass
-
-
-class InconsistentBindingError(TorusError):
-    """The binding conditions are contradictory (empty point set)."""
-
-
-class UnsupportedCodimensionError(TorusError):
-    """Union comparison is only defined for codimension-one cosets."""
-
-
-def hnf_rows(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form: returns (H, U) with U unimodular, U*A == H.
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    zero rows sink to the bottom.
-    """
-    a = [list(map(int, row)) for row in mat]
-    m = len(a)
-    ncols = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def rowop_sub(i: int, k: int, q: int) -> None:
-        if not q:
-            return
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def rowswap(i: int, k: int) -> None:
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    top = 0
-    for col in range(ncols):
-        while True:
-            live = [i for i in range(top, m) if a[i][col]]
-            if not live:
-                break
-            piv = min(live, key=lambda i: (abs(a[i][col]), i))
-            rowswap(top, piv)
-            done = True
-            for i in range(top + 1, m):
-                if a[i][col]:
-                    rowop_sub(i, top, a[i][col] // a[top][col])
-                    if a[i][col]:
-                        done = False
-            if done:
-                break
-        if top < m and a[top][col]:
-            if a[top][col] < 0:
-                a[top] = [-x for x in a[top]]
-                u[top] = [-x for x in u[top]]
-            for i in range(top):
-                rowop_sub(i, top, a[i][col] // a[top][col])
-            top += 1
-    return a, u
-
-
 @dataclass(frozen=True)
 class TorusCoset:
-    """Canonical binding data: ((character, angle), ...) in Hermite form.
+    """Canonical binding data lambda^v = e(theta): v nonzero with positive
+    lead, theta in Q intersected with [0, 1)."""
 
-    Codimension equals the number of binding rows.  Angles live in
-    Q intersected with [0, 1).
-    """
-
-    binding: tuple[tuple[tuple[int, ...], Fraction], ...]
+    v: tuple[int, ...]
+    theta: Fraction
 
     @classmethod
-    def make(
-        cls, pairs: Iterable[tuple[Sequence[int], Fraction | int]]
-    ) -> "TorusCoset":
-        pairs = [(tuple(int(x) for x in v), Fraction(t)) for v, t in pairs]
-        if not pairs:
-            raise ValueError("need at least one binding condition")
-        r = len(pairs[0][0])
-        if any(len(v) != r for v, _ in pairs):
-            raise ValueError("characters of mixed length")
-        h, u = hnf_rows([list(v) for v, _ in pairs])
-        thetas = [t for _, t in pairs]
-        binding = []
-        for row, urow in zip(h, u):
-            theta = sum((Fraction(c) * t for c, t in zip(urow, thetas)), Fraction(0)) % 1
-            if all(x == 0 for x in row):
-                if theta:
-                    raise InconsistentBindingError(
-                        "binding conditions force 1 == e^(2*pi*i*theta), theta != 0"
-                    )
-                continue
-            binding.append((tuple(row), theta))
-        return cls(tuple(binding))
-
-    @property
-    def r(self) -> int:
-        return len(self.binding[0][0])
-
-    @property
-    def codimension(self) -> int:
-        return len(self.binding)
+    def make(cls, v: Sequence[int], theta: Fraction | int) -> "TorusCoset":
+        v = tuple(int(x) for x in v)
+        theta = Fraction(theta)
+        lead = next((x for x in v if x), 0)
+        if lead == 0:
+            raise ValueError("character must be nonzero")
+        if lead < 0:
+            v = tuple(-x for x in v)
+            theta = -theta
+        return cls(v, theta % 1)
 
     def contains_angles(self, beta: Sequence[Fraction]) -> bool:
         """Membership of the point exp(2*pi*i*beta), beta rational."""
-        for v, theta in self.binding:
-            val = sum((Fraction(b) * c for b, c in zip(beta, v)), Fraction(0))
-            if (val - theta) % 1 != 0:
-                return False
-        return True
+        val = sum((Fraction(b) * c for b, c in zip(beta, self.v)), Fraction(0))
+        return (val - self.theta) % 1 == 0
 
     def sort_key(self) -> tuple:
-        return self.binding
+        return (self.v, self.theta)
 
     def to_json_dict(self) -> dict:
-        return {
-            "binding": [
-                {"v": list(v), "theta": f"{t.numerator}/{t.denominator}"}
-                for v, t in self.binding
-            ]
-        }
+        t = f"{self.theta.numerator}/{self.theta.denominator}"
+        return {"binding": [{"v": list(self.v), "theta": t}]}
 
     def text(self) -> str:
-        conds = []
-        for v, t in self.binding:
-            lhs = "*".join(
-                f"L{i + 1}" + (f"^{c}" if c != 1 else "")
-                for i, c in enumerate(v)
-                if c
-            )
-            conds.append(f"{lhs} = e(2*pi*i*{t})" if t else f"{lhs} = 1")
-        return "{" + ", ".join(conds) + "}"
+        lhs = "*".join(
+            f"L{i + 1}" + (f"^{c}" if c != 1 else "")
+            for i, c in enumerate(self.v)
+            if c
+        )
+        t = self.theta
+        return "{" + (f"{lhs} = e(2*pi*i*{t})" if t else f"{lhs} = 1") + "}"
 
 
 def cosets_of_character(
@@ -166,9 +76,7 @@ def cosets_of_character(
         raise ValueError("character must be nonzero")
     prim = tuple(x // g for x in v)
     theta = Fraction(theta)
-    return tuple(
-        TorusCoset.make([(prim, (theta + c) / g)]) for c in range(g)
-    )
+    return tuple(TorusCoset.make(prim, (theta + c) / g) for c in range(g))
 
 
 def exp_image(h: Hyperplane) -> TorusCoset:
@@ -177,18 +85,7 @@ def exp_image(h: Hyperplane) -> TorusCoset:
     L.s + b == 0 maps onto the single coset lambda^L = e(-2*pi*i*b); the
     image only depends on b mod 1, so integer translates agree.
     """
-    return TorusCoset.make([(h.normal, (-h.intercept) % 1)])
-
-
-def _codim_one(cosets: Iterable[TorusCoset]) -> set[TorusCoset]:
-    out = set()
-    for c in cosets:
-        if c.codimension != 1:
-            raise UnsupportedCodimensionError(
-                f"unsupported-codimension: expected 1, got {c.codimension}"
-            )
-        out.add(c)
-    return out
+    return TorusCoset.make(h.normal, -h.intercept)
 
 
 def union_equal(
@@ -200,7 +97,7 @@ def union_equal(
     dimension, so no containments can hide: union equality is set equality
     of canonical forms.
     """
-    return _codim_one(left) == _codim_one(right)
+    return set(left) == set(right)
 
 
 def check_axis_union(

@@ -16,11 +16,7 @@ derivative and are cancelled back eagerly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product as iproduct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .polynomials import MPoly, Scalar, format_poly, grlex_key
 
@@ -76,32 +72,8 @@ class WeylOperator:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, nx: int, ns: int) -> "WeylOperator":
-        return cls(nx, ns)
-
-    @classmethod
-    def scalar(cls, nx: int, ns: int, c: Scalar | MPoly) -> "WeylOperator":
-        return cls(nx, ns, {((0,) * nx, (0,) * nx): _coeff_poly(c, ns)})
-
-    @classmethod
-    def x_power(cls, nx: int, ns: int, alpha: Sequence[int]) -> "WeylOperator":
-        return cls(nx, ns, {(tuple(alpha), (0,) * nx): MPoly.const(ns, 1)})
-
-    @classmethod
     def d_power(cls, nx: int, ns: int, beta: Sequence[int]) -> "WeylOperator":
         return cls(nx, ns, {((0,) * nx, tuple(beta)): MPoly.const(ns, 1)})
-
-    @classmethod
-    def coordinate(cls, nx: int, ns: int, j: int) -> "WeylOperator":
-        e = [0] * nx
-        e[j] = 1
-        return cls.x_power(nx, ns, e)
-
-    @classmethod
-    def partial(cls, nx: int, ns: int, j: int) -> "WeylOperator":
-        e = [0] * nx
-        e[j] = 1
-        return cls.d_power(nx, ns, e)
 
     # -- structure -----------------------------------------------------
 
@@ -151,72 +123,6 @@ class WeylOperator:
         return WeylOperator(
             self.nx, self.ns, {key: c * v for key, v in self.terms.items()}
         )
-
-    def __mul__(self, other: "WeylOperator") -> "WeylOperator":
-        """Composition, reordered via d^b x^a = sum_k k! C(b,k) C(a,k) x^(a-k) d^(b-k)."""
-        self._check(other)
-        acc: dict[tuple[Exps, Exps], MPoly] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                c = c1 * c2
-                ranges = [range(min(b, a) + 1) for b, a in zip(b1, a2)]
-                for k in iproduct(*ranges):
-                    w = 1
-                    for kj, bj, aj in zip(k, b1, a2):
-                        if kj:
-                            w *= math.comb(bj, kj) * math.comb(aj, kj) * math.factorial(kj)
-                    alpha = tuple(x + y - z for x, y, z in zip(a1, a2, k))
-                    beta = tuple(x + y - z for x, y, z in zip(b1, b2, k))
-                    add = c * w
-                    key = (alpha, beta)
-                    acc[key] = acc[key] + add if key in acc else add
-        return WeylOperator(self.nx, self.ns, acc)
-
-    def __pow__(self, k: int) -> "WeylOperator":
-        if k < 0:
-            raise ValueError("negative operator power")
-        out = WeylOperator.scalar(self.nx, self.ns, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def shift_s(self, offsets: Sequence[Scalar]) -> "WeylOperator":
-        """Substitute s_i -> s_i + offsets[i] in every coefficient."""
-        return WeylOperator(
-            self.nx,
-            self.ns,
-            {key: c.shift(offsets) for key, c in self.terms.items()},
-        )
-
-
-def normal_order(
-    raw_terms: Iterable[tuple[Scalar | MPoly, Iterable[tuple]]],
-    nx: int,
-    ns: int,
-) -> WeylOperator:
-    """Normally order a sum of generator words.
-
-    Each raw term is (coefficient, atoms); an atom is ("x", j) or ("d", j),
-    optionally ("x", j, power).  The word multiplies left to right.
-    Already-ordered input reproduces itself.
-    """
-    total = WeylOperator.zero(nx, ns)
-    for coeff, atoms in raw_terms:
-        op = WeylOperator.scalar(nx, ns, coeff)
-        for atom in atoms:
-            kind, j = atom[0], atom[1]
-            power = atom[2] if len(atom) > 2 else 1
-            e = [0] * nx
-            e[j] = power
-            if kind == "x":
-                factor = WeylOperator.x_power(nx, ns, e)
-            elif kind == "d":
-                factor = WeylOperator.d_power(nx, ns, e)
-            else:
-                raise ValueError(f"unknown atom kind {kind!r}")
-            op = op * factor
-        total = total + op
-    return total
 
 
 def format_operator(op: WeylOperator, x_names: Sequence[str], s_names: Sequence[str]) -> str:
@@ -468,19 +374,3 @@ def apply(op: WeylOperator, v: GermElement) -> GermElement:
         total = total + w
     return total.reduce()
 
-
-def specialize_integer(v: GermElement, k: Sequence[int]) -> MPoly:
-    """Evaluate at s = k (integer point); returns the value as a polynomial.
-
-    Requires k + twist - denom >= 0 so the twisted powers stay polynomial.
-    """
-    ctx = v.ctx
-    if len(k) != ctx.r:
-        raise ValueError("need one integer per s variable")
-    net = tuple(ki + e for ki, e in zip(k, v.net_exponents()))
-    if any(e < 0 for e in net):
-        raise ValueError("specialization leaves the polynomial ring")
-    reps = [MPoly.variable(ctx.nvars, i) for i in range(ctx.n)] + [
-        MPoly.const(ctx.nvars, ki) for ki in k
-    ]
-    return v.num.compose(reps) * ctx.f_power(net)

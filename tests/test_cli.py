@@ -169,6 +169,8 @@ def test_no_inputs_is_usage_error(capsys):
         {"slope_bound": 8},
         {"surprise": True},
         {"id": "bad id"},
+        {"variables": ["s", "y"], "F": ["s*y"]},
+        {"variables": ["x", "dx"], "F": ["x + dx"]},
     ],
 )
 def test_invalid_entries_are_usage_errors(tmp_path, capsys, overrides):
@@ -176,6 +178,8 @@ def test_invalid_entries_are_usage_errors(tmp_path, capsys, overrides):
     code, _, err = run(["run", str(path)], capsys)
     assert code == EXIT_USAGE
     assert "parse-error" in err
+    if "variables" in overrides:
+        assert "'variables'" in err
 
 
 def test_constant_f_with_active_twist_rejected(tmp_path, capsys):

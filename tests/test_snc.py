@@ -190,11 +190,11 @@ def test_reweight_validation():
 def test_support_loci_frozen():
     one = Fraction(0)
     assert support_loci(X_XY, (1, 0)) == (
-        TorusCoset.make([((1, 1), one)]),
+        TorusCoset.make((1, 1), one),
     )
     assert support_loci(X_XY, (0, 1)) == (
-        TorusCoset.make([((0, 1), one)]),
-        TorusCoset.make([((1, 1), one)]),
+        TorusCoset.make((0, 1), one),
+        TorusCoset.make((1, 1), one),
     )
     assert support_loci(X_XY, (1, 1)) == support_loci(X_XY, (0, 1))
     with pytest.raises(EmptySupportError):
@@ -205,6 +205,6 @@ def test_support_loci_expands_torsion():
     g = graph([(2,)], [1])
     got = support_loci(g, (1,))
     assert got == (
-        TorusCoset.make([((1,), Fraction(0))]),
-        TorusCoset.make([((1,), Fraction(1, 2))]),
+        TorusCoset.make((1,), Fraction(0)),
+        TorusCoset.make((1,), Fraction(1, 2)),
     )

@@ -32,7 +32,7 @@ def test_classic_single_x():
     cert = find_bs_pair(ctx, (1,), SolveBounds(1, 0, 0, 1))
     assert cert is not None
     assert cert.b == sp("s + 1")
-    assert cert.P == WeylOperator.partial(1, 1, 0)
+    assert cert.P == WeylOperator.d_power(1, 1, (1,))
     assert verify(cert)
 
 
@@ -188,6 +188,22 @@ def test_pinned_certificates_and_system_sizes(monkeypatch, f, box, want, sizes):
     assert cert.b == sp(want["b"])
     assert verify(cert)
     assert seen == sizes
+
+
+def test_sample_ideal_stops_when_mixed_finds_nothing(monkeypatch):
+    # below deg b_f = 3 no strategy can certify; the restricted strategies'
+    # systems are never built once the unrestricted one comes back empty
+    calls = []
+    nullspace = linalg.nullspace
+
+    def spy(rows, ncols):
+        calls.append(ncols)
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    ctx = make_ctx(["x", "y"], ["x^2 + y^3"])
+    assert sample_ideal(ctx, (1,), SolveBounds(3, 3, 2, 2)) == []
+    assert len(calls) == 1
 
 
 def test_sample_ideal_takes_each_germ_derivative_once(monkeypatch):

@@ -5,97 +5,34 @@ import pytest
 
 from bsideal.hyperplanes import Hyperplane
 from bsideal.torus import (
-    InconsistentBindingError,
     TorusCoset,
-    UnsupportedCodimensionError,
     check_axis_union,
     cosets_of_character,
     exp_image,
-    hnf_rows,
     union_equal,
 )
 
 
-def det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def test_hnf_small_frozen():
-    h, u = hnf_rows([[2, 4], [1, 3]])
-    assert h == [[1, 1], [0, 2]]
-    assert det2(u) in (1, -1)
-    # U * A == H
-    a = [[2, 4], [1, 3]]
-    prod = [
-        [sum(u[i][k] * a[k][j] for k in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-    assert prod == h
-
-
-def test_hnf_properties_random():
-    rng = random.Random(415)
-    for _ in range(30):
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 3)
-        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        h, u = hnf_rows(a)
-        prod = [
-            [sum(u[i][k] * a[k][j] for k in range(m)) for j in range(n)]
-            for i in range(m)
-        ]
-        assert prod == h
-        # pivots positive, staircase shape, entries above reduced
-        last = -1
-        for row in h:
-            nz = [j for j, v in enumerate(row) if v]
-            if not nz:
-                continue
-            piv = nz[0]
-            assert piv > last
-            last = piv
-            assert row[piv] > 0
-        for i, row in enumerate(h):
-            nz = [j for j, v in enumerate(row) if v]
-            if not nz:
-                continue
-            piv = nz[0]
-            for k in range(i):
-                assert 0 <= h[k][piv] < row[piv]
-
-
-def test_make_canonicalizes_row_order():
-    a = TorusCoset.make([((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 3))])
-    b = TorusCoset.make([((0, 1), Fraction(1, 3)), ((1, 0), Fraction(1, 2))])
-    assert a == b
-    assert hash(a) == hash(b)
-
-
-def test_make_drops_redundant_rows():
-    a = TorusCoset.make([((1, 1), Fraction(0)), ((2, 2), Fraction(0))])
-    b = TorusCoset.make([((1, 1), Fraction(0))])
-    assert a == b
-    assert a.codimension == 1
-
-
-def test_make_rejects_inconsistent():
-    with pytest.raises(InconsistentBindingError):
-        TorusCoset.make([((1, 1), Fraction(0)), ((2, 2), Fraction(1, 2))])
-
-
 def test_make_rejects_empty():
+    # the zero character binds nothing
     with pytest.raises(ValueError):
-        TorusCoset.make([])
+        TorusCoset.make((0, 0), Fraction(0))
+
+
+def test_make_normalizes_negative_lead():
+    a = TorusCoset.make((-1, 2), Fraction(1, 3))
+    assert a == TorusCoset.make((1, -2), Fraction(2, 3))
+    assert a.v == (1, -2) and a.theta == Fraction(2, 3)
 
 
 def test_angles_normalized_mod_one():
-    a = TorusCoset.make([((1,), Fraction(5, 2))])
-    b = TorusCoset.make([((1,), Fraction(1, 2))])
+    a = TorusCoset.make((1,), Fraction(5, 2))
+    b = TorusCoset.make((1,), Fraction(1, 2))
     assert a == b
 
 
 def test_contains_angles():
-    c = TorusCoset.make([((2,), Fraction(0))])
+    c = TorusCoset.make((2,), Fraction(0))
     assert c.contains_angles((Fraction(0),))
     assert c.contains_angles((Fraction(1, 2),))
     assert not c.contains_angles((Fraction(1, 4),))
@@ -104,8 +41,8 @@ def test_contains_angles():
 def test_cosets_of_character_decomposition():
     got = cosets_of_character((2,), 0)
     assert got == (
-        TorusCoset.make([((1,), Fraction(0))]),
-        TorusCoset.make([((1,), Fraction(1, 2))]),
+        TorusCoset.make((1,), Fraction(0)),
+        TorusCoset.make((1,), Fraction(1, 2)),
     )
     with pytest.raises(ValueError):
         cosets_of_character((0, 0))
@@ -135,9 +72,9 @@ def test_cosets_of_character_membership_random():
 
 def test_exp_image_frozen():
     h = Hyperplane((1, 2), Fraction(1, 2))
-    assert exp_image(h) == TorusCoset.make([((1, 2), Fraction(1, 2))])
+    assert exp_image(h) == TorusCoset.make((1, 2), Fraction(1, 2))
     h = Hyperplane((1,), Fraction(1))
-    assert exp_image(h) == TorusCoset.make([((1,), Fraction(0))])
+    assert exp_image(h) == TorusCoset.make((1,), Fraction(0))
 
 
 def test_exp_image_integer_translation_invariant():
@@ -154,23 +91,16 @@ def test_exp_image_integer_translation_invariant():
 def test_union_equal():
     a = cosets_of_character((2,), 0)
     b = (
-        TorusCoset.make([((1,), Fraction(1, 2))]),
-        TorusCoset.make([((1,), Fraction(0))]),
+        TorusCoset.make((1,), Fraction(1, 2)),
+        TorusCoset.make((1,), Fraction(0)),
     )
     assert union_equal(a, b)
     assert not union_equal(a, b[:1])
 
 
-def test_union_equal_requires_codim_one():
-    point = TorusCoset.make([((1, 0), Fraction(0)), ((0, 1), Fraction(0))])
-    line = TorusCoset.make([((1, 1), Fraction(0))])
-    with pytest.raises(UnsupportedCodimensionError):
-        union_equal([point], [line])
-
-
 def test_check_axis_union():
-    c1 = TorusCoset.make([((1, 0), Fraction(0))])
-    c2 = TorusCoset.make([((0, 1), Fraction(0))])
+    c1 = TorusCoset.make((1, 0), Fraction(0))
+    c2 = TorusCoset.make((0, 1), Fraction(0))
     assert check_axis_union({0: [c1], 1: [c2]}, [c1, c2], (1, 1))
     assert not check_axis_union({0: [c1]}, [c1, c2], (1, 1))
     with pytest.raises(ValueError):
@@ -178,8 +108,8 @@ def test_check_axis_union():
 
 
 def test_json_and_text():
-    c = TorusCoset.make([((1,), Fraction(1, 2))])
+    c = TorusCoset.make((1,), Fraction(1, 2))
     assert c.to_json_dict() == {"binding": [{"v": [1], "theta": "1/2"}]}
     assert c.text() == "{L1 = e(2*pi*i*1/2)}"
-    c = TorusCoset.make([((1, 2), Fraction(0))])
+    c = TorusCoset.make((1, 2), Fraction(0))
     assert c.text() == "{L1*L2^2 = 1}"
