@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .hyperplanes import Hyperplane, extract_hyperplanes, structure_report
+from .hyperplanes import Hyperplane, HyperplaneVerdict, extract_hyperplanes, structure_report
 from .polynomials import (
     MPoly,
     PolyParseError,
@@ -171,6 +171,15 @@ class ProblemSpec:
                 raise SpecError(
                     f"{where}: resolution_graph has r={self.graph.r}, expected {self.r}"
                 )
+            bare = [
+                i for i, ai in enumerate(self.a)
+                if ai and all(c.weights[i] == 0 for c in self.graph.components)
+            ]
+            if bare:
+                raise SpecError(
+                    f"{where}: 'resolution_graph' has no component carrying "
+                    f"f_{bare[0] + 1}, but a[{bare[0]}] != 0"
+                )
 
         tasks = data.get("tasks", "all")
         if tasks == "all":
@@ -249,9 +258,8 @@ def corpus_paths() -> list[str]:
     return [os.path.join(cdir, n) for n in names]
 
 
-def _hyp_json(h: Hyperplane, mult: int, a: Sequence[int]) -> dict:
-    rep = structure_report([h], a)
-    v = rep.verdicts[0]
+def _hyp_json(v: HyperplaneVerdict, mult: int) -> dict:
+    h = v.hyperplane
     return {
         "normal": list(h.normal),
         "intercept": str(h.intercept),
@@ -356,7 +364,7 @@ class EntryRunner:
     def task_decompose(self) -> dict:
         hyps, mult, residual = self.ideal_hyperplanes(self.spec.a)
         rep = structure_report(hyps, self.spec.a)
-        items = [_hyp_json(h, mult[h], self.spec.a) for h in hyps]
+        items = [_hyp_json(v, mult[v.hyperplane]) for v in rep.verdicts]
         structure_ok = rep.all_pass and bool(hyps)
         return {
             "hyperplanes": items,
@@ -371,14 +379,15 @@ class EntryRunner:
         slopes = slope_set(graph, a)
         b_el = snc_b_element(graph, a)
         pairs, rem = extract_hyperplanes(b_el)
-        extracted = [_hyp_json(h, m, a) for h, m in pairs]
-        normals = {h.normal for h, _ in pairs}
+        mult = dict(pairs)
+        rep = structure_report(mult, a)
+        extracted = [_hyp_json(v, mult[v.hyperplane]) for v in rep.verdicts]
         matches = (
-            normals == set(slopes)
+            {h.normal for h in mult} == set(slopes)
             and rem.total_degree() == 0
-            and all(h.intercept > 0 for h, _ in pairs)
+            and all(h.intercept > 0 for h in mult)
         )
-        structure_ok = structure_report([h for h, _ in pairs], a).all_pass
+        structure_ok = rep.all_pass
 
         cert_json = None
         cert_verified = None

@@ -3,15 +3,18 @@
 Rows are dicts mapping column index to coefficient.  Elimination runs
 fraction-free on integer rows (cross-multiplied updates, gcd-normalized)
 so intermediate values stay integral; rational answers appear only when
-solutions are read off.  Pivot selection is deterministic, so reduced
-forms, nullspace bases, and particular solutions are reproducible.
+solutions are read off.  `rref` is the one elimination: `nullspace` reads
+its basis off the reduced rows, and `solve` reads a particular solution
+off the nullspace of the augmented rows.  Pivot selection is
+deterministic, so reduced forms, nullspace bases, and particular solutions
+are reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 IntRow = dict[int, int]
 FracRow = dict[int, Fraction]
@@ -56,14 +59,11 @@ def _eliminate(row: IntRow, piv: IntRow, col: int) -> IntRow:
     return _normalize(out)
 
 
-def rref(
-    rows: Iterable[dict[int, Fraction | int]], pivot_limit: int | None = None
-) -> list[tuple[int, IntRow]]:
-    """Fully reduced echelon form.
+def rref(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, IntRow]]:
+    """Fully reduced echelon form: one row per pivot, spanning the input rows.
 
     Returns (pivot_column, row) pairs sorted by pivot column; every row is
-    primitive with positive pivot.  Columns >= pivot_limit are never chosen
-    as pivots (used to keep an augmented right-hand side out of the basis).
+    primitive with positive pivot.
 
     The forward pass visits columns in ascending order, takes the shortest
     working row holding the column as pivot row (the earliest on a tie) and
@@ -83,8 +83,6 @@ def rref(
                 holders.setdefault(j, []).append(i)
     placed: list[tuple[int, IntRow]] = []
     for col in sorted(holders):
-        if pivot_limit is not None and col >= pivot_limit:
-            continue
         held = {i for i in holders.pop(col) if col in work.get(i, ())}
         if not held:
             continue
@@ -112,8 +110,7 @@ def rref(
         for k in above[col]:
             c, r = placed[k]
             placed[k] = (c, _eliminate(r, piv, col))
-    # rows with no eligible pivot column (pure right-hand side) keep pivot -1
-    return placed + [(-1, r) for r in work.values()]
+    return placed
 
 
 def nullspace(
@@ -123,9 +120,10 @@ def nullspace(
 
     Every row holds columns below ncols only.  The vector of free column f
     is 1 at f and -row[f]/row[p] at the pivot p of each reduced row holding
-    f, so one walk over the reduced rows reads the whole basis.
+    f, so one walk over the reduced rows reads the whole basis; its other
+    entries sit at pivot columns below f.
     """
-    reduced = rref(rows, pivot_limit=ncols)
+    reduced = rref(rows)
     pivots = {p for p, _ in reduced}
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
     for p, r in reduced:
@@ -141,28 +139,20 @@ def solve(
 ) -> list[Fraction] | None:
     """Particular solution of an augmented system, free variables set to 0.
 
-    Each row encodes sum(row[j]*x_j for j < ncols) == row.get(ncols, 0).
-    Returns None when inconsistent.
+    Each row encodes sum(row[j]*x_j for j < ncols) == row.get(ncols, 0), so
+    (x, -1) is a kernel vector of the augmented rows.  The basis vector of
+    free column ncols, negated, is that solution with every other free
+    column at 0.  Returns None when inconsistent: then ncols is a pivot.
     """
-    reduced = rref(aug_rows, pivot_limit=ncols)
-    x = [Fraction(0)] * ncols
-    for c, r in reduced:
-        if c < 0:
-            if any(j == ncols and v for j, v in r.items()):
-                return None
-            continue
-        x[c] = Fraction(r.get(ncols, 0), r[c])
-    return x
+    basis = nullspace(aug_rows, ncols + 1)
+    vec = next((v for v in basis if ncols in v), None)
+    if vec is None:
+        return None
+    return [-vec.get(j, Fraction(0)) for j in range(ncols)]
 
 
-def rref_rational(
-    rows: Iterable[dict[int, Fraction | int]], ncols: int
-) -> list[tuple[int, FracRow]]:
+def rref_rational(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, FracRow]]:
     """Reduced echelon rows scaled monic (pivot coefficient 1)."""
-    out: list[tuple[int, FracRow]] = []
-    for c, r in rref(rows, pivot_limit=ncols):
-        if c < 0:
-            raise ValueError("row without eligible pivot column")
-        lead = r[c]
-        out.append((c, {j: Fraction(v, lead) for j, v in r.items()}))
-    return out
+    return [
+        (c, {j: Fraction(v, r[c]) for j, v in r.items()}) for c, r in rref(rows)
+    ]

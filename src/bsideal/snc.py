@@ -53,6 +53,12 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
+def _json_int(v, what: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class GraphComponent:
     weights: tuple[int, ...]
@@ -82,15 +88,27 @@ class ResolutionGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ResolutionGraph":
+        """Parse {"r": int, "components": [{"L": [int, ...], "chi": int}]}.
+
+        chi is optional (default 0); JSON integers only, never bool.
+        """
         try:
-            r = int(data["r"])
-            comps = tuple(
-                GraphComponent(tuple(int(x) for x in c["L"]), int(c.get("chi", 0)))
-                for c in data["components"]
-            )
+            r = _json_int(data["r"], "'r'")
+            comps = data["components"]
+            if not isinstance(comps, list):
+                raise ValueError("'components' must be a list")
+            out = []
+            for c in comps:
+                weights = c["L"]
+                if not isinstance(weights, list):
+                    raise ValueError("'L' must be a list")
+                out.append(GraphComponent(
+                    tuple(_json_int(x, "each entry of 'L'") for x in weights),
+                    _json_int(c.get("chi", 0), "'chi'"),
+                ))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed resolution graph: {exc}") from exc
-        return cls(r, comps)
+        return cls(r, tuple(out))
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,9 +11,13 @@ other routine in the package defers to.
 
 `find_bs_pair` searches a bounded ansatz: the identity is linear in the
 coefficients of P and b, so candidates form the nullspace of an exact
-linear system.  Among solutions with b != 0 the canonical one is the
-reduced-echelon representative whose leading monomial is smallest in
-graded lex; it has minimal total degree, is monic, and is deterministic.
+linear system, and the b-parts of its vectors form the space B of
+certified b.  The canonical b is the monic element of B whose leading
+monomial is smallest in graded lex (B holds only one: the difference of
+two would lead with a smaller monomial); it has minimal total degree and
+is deterministic.  The canonical P is the operator part paired with it
+that is 0 at every free operator column of the reduced system.  Both are
+read off a single nullspace basis vector, so each call eliminates once.
 """
 
 from __future__ import annotations
@@ -177,7 +181,7 @@ def find_bs_pair(
 
     alphas = list(iter_monomials(n, bounds.max_x_degree))
     sigmas = list(iter_monomials(r, bounds.max_s_degree))
-    taus = sorted(iter_monomials(r, bounds.max_b_degree), key=grlex_key, reverse=True)
+    taus = list(iter_monomials(r, bounds.max_b_degree))
 
     M = tuple(
         max(max(germs[b].denom[i] for b in betas), a[i]) for i in range(r)
@@ -218,34 +222,20 @@ def find_bs_pair(
     ordered_rows = [rows[m] for m in sorted(rows, key=grlex_key, reverse=True)]
     basis = linalg.nullspace(ordered_rows, ncols)
 
-    # Operator columns come first, so a kernel vector has a b-part exactly
-    # when its free column max(vec) is a b column.
-    b_vectors = [vec for vec in basis if max(vec) >= U]
-    if not b_vectors:
+    # Operator columns come first and b columns ascend in graded lex.  A
+    # basis vector is 1 at its free column f and nonzero elsewhere only at
+    # pivot columns below f, so the first one whose f is a b column has a
+    # b-part led by taus[f - U] with coefficient 1, and no b in the kernel
+    # leads with a smaller monomial: that b-part is the canonical b, and
+    # the vector's operator part, 0 at the other free columns, is P.
+    vec = next((v for v in basis if max(v) >= U), None)
+    if vec is None:
         return None
-    projections = [{j - U: v for j, v in vec.items() if j >= U} for vec in b_vectors]
-
-    reduced = linalg.rref_rational(projections, len(taus))
-    # columns are sorted by descending monomial, so the last pivot is the
-    # smallest leading monomial available: minimal total degree, monic
-    _, vstar = reduced[-1]
-    b = MPoly(r, {taus[j]: c for j, c in vstar.items()})
-
-    # The kernel vector with b-part vstar is sum vstar[f - U] * vec over the
-    # b_vectors (vec is 1 at its free column f, 0 at the others); its
-    # operator part is the solution with every free operator column at 0.
-    u: dict[int, Fraction] = {}
-    for vec in b_vectors:
-        w = vstar.get(max(vec) - U)
-        if not w:
-            continue
-        for j, v in vec.items():
-            if j < U:
-                u[j] = u.get(j, 0) + w * v
+    b = MPoly(r, {taus[j - U]: c for j, c in vec.items() if j >= U})
 
     op_terms: dict[tuple[Exps, Exps], MPoly] = {}
     for t, (beta, alpha, sigma) in enumerate(ucols):
-        c = u.get(t)
+        c = vec.get(t)
         if not c:
             continue
         key = (alpha, beta)

@@ -39,6 +39,16 @@ def write_entry(tmp_path, name="probe", **overrides):
     return str(path)
 
 
+# two coordinate functions, both twisted, in a box that certifies them
+PAIR = {
+    "variables": ["x", "y"],
+    "F": ["x", "y"],
+    "a": [1, 1],
+    "bounds": {"order": 2, "x_degree": 0, "s_degree": 0, "b_degree": 2},
+    "tasks": ["snc", "zeta"],
+}
+
+
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
@@ -171,6 +181,24 @@ def test_no_inputs_is_usage_error(capsys):
         {"id": "bad id"},
         {"variables": ["s", "y"], "F": ["s*y"]},
         {"variables": ["x", "dx"], "F": ["x + dx"]},
+        # graph values are JSON integers and lists, never coerced
+        *(
+            {**PAIR, "resolution_graph": {"r": 2, "components": comps}}
+            for comps in (
+                [{"L": [1.9, 1]}],
+                [{"L": [1, 1], "chi": 0.5}],
+                [{"L": "11"}],
+                [{"L": [True, 1]}],
+                {"L": [1, 1]},
+            )
+        ),
+        {**PAIR, "resolution_graph": {"r": "2", "components": [{"L": [1, 1]}]}},
+        {"resolution_graph": {"r": True, "components": [{"L": [1]}]}, "tasks": ["snc"]},
+        # a twisted f_i that lies on no component
+        {**PAIR, "a": [1, 0], "tasks": ["snc"],
+         "resolution_graph": {"r": 2, "components": [{"L": [0, 1]}]}},
+        {**PAIR, "tasks": ["exp-compare"],
+         "resolution_graph": {"r": 2, "components": [{"L": [0, 1]}]}},
     ],
 )
 def test_invalid_entries_are_usage_errors(tmp_path, capsys, overrides):
@@ -178,7 +206,9 @@ def test_invalid_entries_are_usage_errors(tmp_path, capsys, overrides):
     code, _, err = run(["run", str(path)], capsys)
     assert code == EXIT_USAGE
     assert "parse-error" in err
-    if "variables" in overrides:
+    if "resolution_graph" in overrides:
+        assert "'resolution_graph'" in err
+    elif "variables" in overrides:
         assert "'variables'" in err
 
 

@@ -8,12 +8,12 @@ import pytest
 from bsideal.linalg import clear_row, nullspace, rref, rref_rational, solve
 
 
-def dense_rref(rows, ncols, pivot_limit=None):
+def dense_rref(rows, ncols):
     """Textbook Gauss-Jordan over Fraction, returns reduced dense rows."""
     mat = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
     piv = 0
     pivots = []
-    for col in range(ncols if pivot_limit is None else pivot_limit):
+    for col in range(ncols):
         hit = next((i for i in range(piv, len(mat)) if mat[i][col] != 0), None)
         if hit is None:
             continue
@@ -94,7 +94,7 @@ def test_rref_matches_dense_oracle():
     for _ in range(40):
         ncols = rng.randint(1, 6)
         rows = rand_rows(rng, rng.randint(1, 6), ncols)
-        got = rref(rows, ncols)
+        got = rref(rows)
         want, want_pivots = dense_rref(rows, ncols)
         assert [c for c, _ in got] == want_pivots
         # same row space in reduced form: normalize got rows to monic dense
@@ -108,7 +108,7 @@ def test_rref_matches_dense_oracle_large_sparse():
     for _ in range(12):
         ncols = rng.randint(30, 60)
         rows = sparse_rows(rng, ncols)
-        got = rref(rows, ncols)
+        got = rref(rows)
         want, want_pivots = dense_rref(rows, ncols)
         assert [c for c, _ in got] == want_pivots
         for (col, row), dense in zip(got, want):
@@ -116,7 +116,7 @@ def test_rref_matches_dense_oracle_large_sparse():
             assert monic_dense(col, row, ncols) == dense
 
 
-def test_rref_pivot_limit_keeps_augmented_column_out():
+def test_solve_matches_dense_oracle_large_sparse():
     rng = random.Random(409)
     for trial in range(12):
         ncols = rng.randint(30, 60)
@@ -130,24 +130,18 @@ def test_rref_pivot_limit_keeps_augmented_column_out():
             # a row whose left side is a combination of others but whose
             # right side disagrees makes the system inconsistent
             aug.append({**a_rows[0], ncols: aug[0].get(ncols, 0) + 1})
-        got = rref(aug, pivot_limit=ncols)
-        placed = [(c, r) for c, r in got if c >= 0]
-        leftovers = [r for c, r in got if c < 0]
-        assert [c for c, _ in got] == sorted(c for c, _ in placed) + [-1] * len(leftovers)
-        _, want_pivots = dense_rref(a_rows, ncols)
-        assert [c for c, _ in placed] == want_pivots
+        want, pivots = dense_rref(aug, ncols + 1)
         if trial % 2:
-            # the row space holds the lone right-hand side; only the left
-            # parts of the pivot rows are determined
-            assert leftovers and all(r == {ncols: 1} for r in leftovers)
-            want, _ = dense_rref(a_rows, ncols)
-            for (col, row), dense in zip(placed, want):
-                assert monic_dense(col, row, ncols) == dense
-        else:
-            assert leftovers == []
-            want, _ = dense_rref(aug, ncols + 1, pivot_limit=ncols)
-            for (col, row), dense in zip(placed, want):
-                assert monic_dense(col, row, ncols + 1) == dense
+            assert ncols in pivots
+            assert solve(aug, ncols) is None
+            continue
+        # consistent: the right-hand side is no pivot, and the particular
+        # solution is the reduced right-hand side with free variables at 0
+        assert ncols not in pivots
+        want_x = [Fraction(0)] * ncols
+        for p, row in zip(pivots, want):
+            want_x[p] = row[ncols]
+        assert solve(aug, ncols) == want_x
 
 
 def test_nullspace_large_sparse_matches_dense_oracle():
@@ -221,5 +215,5 @@ def test_solve_random_systems():
 
 def test_rref_rational_monic():
     rows = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 1: Fraction(3)}]
-    red = rref_rational(rows, 2)
+    red = rref_rational(rows)
     assert red == [(0, {0: Fraction(1)}), (1, {1: Fraction(1)})]

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from bsideal import linalg, solver
-from bsideal.polynomials import MPoly, parse_poly, s_names
+from bsideal.cli import corpus_paths, load_specs
+from bsideal.polynomials import MPoly, grlex_key, iter_monomials, parse_poly, s_names
 from bsideal.solver import (
     BSCertificate,
     InvertibleTwistError,
@@ -219,6 +220,103 @@ def test_sample_ideal_takes_each_germ_derivative_once(monkeypatch):
     sample_ideal(ctx, (1,), SolveBounds(4, 4, 3, 4))
     # one derivative per nonzero d-monomial of order <= 4 in two variables
     assert len(calls) == 14
+
+
+def two_step_certificate(ctx, bounds, d_support, ncols, basis):
+    """(b, P) read the way the solver once did, from the same kernel basis.
+
+    The b-parts of the kernel vectors, with their columns in descending
+    graded lex, go through rref_rational; its last row vstar is the monic b
+    with the smallest leading monomial, and P is the operator part of
+    sum vstar[f] * vec over the vectors with a b column f as free column.
+    """
+    n, r = ctx.n, ctx.r
+    order = bounds.max_operator_order
+    if d_support is None:
+        betas = list(iter_monomials(n, order))
+    else:
+        betas = sorted({tuple(b) for b in d_support if sum(b) <= order}, key=grlex_key)
+        if (0,) * n not in betas:
+            betas.insert(0, (0,) * n)
+    ucols = [
+        (beta, alpha, sigma)
+        for beta in betas
+        for alpha in iter_monomials(n, bounds.max_x_degree)
+        for sigma in iter_monomials(r, bounds.max_s_degree)
+    ]
+    taus = list(iter_monomials(r, bounds.max_b_degree))
+    U, T = len(ucols), len(taus)
+    assert U + T == ncols
+    b_vectors = [vec for vec in basis if max(vec) >= U]
+    if not b_vectors:
+        return None
+    # projection column k holds taus[T - 1 - k]
+    projections = [{T - 1 - (j - U): v for j, v in vec.items() if j >= U} for vec in b_vectors]
+    _, vstar = linalg.rref_rational(projections)[-1]
+    b = MPoly(r, {taus[T - 1 - k]: c for k, c in vstar.items()})
+    u = {}
+    for vec in b_vectors:
+        w = vstar.get(T - 1 - (max(vec) - U))
+        if not w:
+            continue
+        for j, v in vec.items():
+            if j < U:
+                u[j] = u.get(j, 0) + w * v
+    terms = {}
+    for t, c in u.items():
+        if c:
+            beta, alpha, sigma = ucols[t]
+            term = MPoly.monomial(r, sigma, c)
+            terms[(alpha, beta)] = terms[(alpha, beta)] + term if (alpha, beta) in terms else term
+    return b, WeylOperator(n, r, terms)
+
+
+def test_certificate_matches_two_step_oracle(monkeypatch):
+    captured = []
+    compared = []
+    nullspace, find = linalg.nullspace, solver.find_bs_pair
+
+    def spy_nullspace(rows, ncols):
+        basis = nullspace(rows, ncols)
+        captured.append((ncols, basis))
+        return basis
+
+    def spy_find(ctx, a, bounds, d_support=None, **kwargs):
+        cert = find(ctx, a, bounds, d_support, **kwargs)
+        (ncols, basis), = captured
+        captured.clear()
+        want = two_step_certificate(ctx, bounds, d_support, ncols, basis)
+        assert (None if cert is None else (cert.b, cert.P)) == want
+        compared.append(cert is not None)
+        return cert
+
+    monkeypatch.setattr(linalg, "nullspace", spy_nullspace)
+    monkeypatch.setattr(solver, "find_bs_pair", spy_find)
+    problems = [(spec.ctx, spec.a, spec.bounds) for spec in load_specs(corpus_paths())]
+    problems.append((make_ctx(["x", "y", "z"], ["x*y", "y*z"]), (1, 2), SolveBounds(6, 0, 0, 6)))
+    # boxes with slack, whose kernels hold several vectors with a b-part
+    problems.append((make_ctx(["x"], ["x"]), (1,), SolveBounds(2, 1, 1, 3)))
+    problems.append((make_ctx(["x", "y"], ["x^2 + y^3"]), (1,), SolveBounds(3, 3, 2, 4)))
+    for ctx, a, bounds in problems:
+        found = sample_ideal(ctx, a, bounds)
+        assert found
+    assert sum(compared) >= len(problems)
+
+
+def test_find_bs_pair_eliminates_once(monkeypatch):
+    calls = []
+    rref = linalg.rref
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    ctx = make_ctx(["x", "y"], ["x^2 + y^3"])
+    assert find_bs_pair(ctx, (1,), SolveBounds(3, 3, 2, 3)) is not None
+    assert len(calls) == 1
+    assert find_bs_pair(ctx, (1,), SolveBounds(3, 3, 2, 2)) is None
+    assert len(calls) == 2
 
 
 def test_cell_cap(monkeypatch):

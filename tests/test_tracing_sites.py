@@ -2,7 +2,8 @@
 
 bench/tracing.py patches each ``(module, attr)`` in its SITES table plus
 ``cli.EntryRunner.run``.  A deleted or renamed name would only show up as a
-failing ``--trace 1`` run, so it is checked here.
+failing ``--trace 1`` run, so it is checked here.  A site the pipeline no
+longer calls reads 0 in every traced run; those are declared in BENCH_ONLY.
 """
 
 import importlib
@@ -10,6 +11,9 @@ import importlib.util
 import os
 
 import pytest
+
+# traced names the pipeline never calls; the benchmark still binds them
+BENCH_ONLY = {"linalg.solve", "linalg.rref_rational", "hyperplanes.primitive_slopes"}
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 
@@ -31,3 +35,21 @@ def test_traced_sites_resolve():
         assert callable(getattr(owner, attr, None)), f"bsideal.{mod}.{attr}"
     cli = importlib.import_module("bsideal.cli")
     assert callable(cli.EntryRunner.run)
+
+
+def test_untraced_sites_are_declared(capsys):
+    tracing = load_tracing()
+    modules = {
+        name: importlib.import_module(f"bsideal.{name}")
+        for name in ("cli", "solver", "hyperplanes", "linalg")
+    }
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        assert modules["cli"].main(["run", "--seed-corpus", "--json"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans, _ = tracer.take()
+    called = {span[0] for span in spans}
+    assert {name for _, _, name in tracing.SITES} - called == BENCH_ONLY
