@@ -59,6 +59,14 @@ def _json_int(v, what: str) -> int:
     return v
 
 
+def _known_keys(obj, keys: set[str], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object")
+    extra = set(obj) - keys
+    if extra:
+        raise ValueError(f"unknown keys {sorted(extra)} in {what}")
+
+
 @dataclass(frozen=True)
 class GraphComponent:
     weights: tuple[int, ...]
@@ -90,15 +98,18 @@ class ResolutionGraph:
     def from_json_dict(cls, data: dict) -> "ResolutionGraph":
         """Parse {"r": int, "components": [{"L": [int, ...], "chi": int}]}.
 
-        chi is optional (default 0); JSON integers only, never bool.
+        chi is optional (default 0); JSON integers only, never bool.  Any
+        other key, in the graph or in a component, is rejected.
         """
         try:
+            _known_keys(data, {"r", "components"}, "resolution graph")
             r = _json_int(data["r"], "'r'")
             comps = data["components"]
             if not isinstance(comps, list):
                 raise ValueError("'components' must be a list")
             out = []
             for c in comps:
+                _known_keys(c, {"L", "chi"}, "component")
                 weights = c["L"]
                 if not isinstance(weights, list):
                     raise ValueError("'L' must be a list")

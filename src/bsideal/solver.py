@@ -18,6 +18,24 @@ two would lead with a smaller monomial); it has minimal total degree and
 is deterministic.  The canonical P is the operator part paired with it
 that is 0 at every free operator column of the reduced system.  Both are
 read off a single nullspace basis vector, so each call eliminates once.
+
+Only the block of the system that can hold b is built and eliminated:
+
+* Weight grading (before assembly).  For w in the weight space W of F
+  (`GermContext.weights`), every column is w-homogeneous in x and every
+  row is one monomial, so a row only joins columns of one w-degree.  The
+  columns whose degree differs from that of the b columns are never
+  assembled, and no germ derivative is taken for an operator monomial
+  that has none of them.  When W = {0} this keeps everything.
+* Block pick (before elimination).  A union-find over the assembled rows
+  keeps the rows of the connected components that hold a b column, in
+  their order.  Components share no column, so each reduces under the
+  pivot rule as it would alone, and the kernel is the direct sum of the
+  components' kernels; the others carry no b.
+
+Both steps leave the kernel's vectors with a b-part unchanged, and the
+common denominator f^M only scales rows, so (b, P) is the certificate of
+the whole system.  The size cap applies to the block that is eliminated.
 """
 
 from __future__ import annotations
@@ -25,7 +43,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -54,7 +72,7 @@ class InvertibleTwistError(SolverError):
 
 
 class SolveCapExceeded(SolverError):
-    """The bounded linear system would exceed the configured size cap."""
+    """The block to eliminate would exceed the configured size cap."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +129,7 @@ def _validate_twist(ctx: GermContext, a: Sequence[int]) -> tuple[int, ...]:
 
 
 def cell_cap() -> int:
-    """The cap on rows x columns from BSIDEAL_MAX_CELLS, or the default.
+    """Cap on the eliminated block's rows x columns: BSIDEAL_MAX_CELLS or 4,000,000.
 
     Raises ValueError when the variable is set to anything but a positive
     integer.
@@ -176,19 +194,37 @@ def find_bs_pair(
         germs[beta] = g
         return g
 
-    for beta in betas:
-        germ_for(beta)
-
     alphas = list(iter_monomials(n, bounds.max_x_degree))
     sigmas = list(iter_monomials(r, bounds.max_s_degree))
     taus = list(iter_monomials(r, bounds.max_b_degree))
 
-    M = tuple(
-        max(max(germs[b].denom[i] for b in betas), a[i]) for i in range(r)
-    )
+    # Weight grading: under every w in W, column (beta, alpha, sigma) has
+    # x-degree M.deg_w(f) + w.(alpha - beta) and the b columns have
+    # (M - a).deg_w(f).  Every row is one monomial, so it holds columns of
+    # one degree only: the graded piece with w.(beta - alpha) = deg_w(f^a)
+    # for all w is a union of whole connected components of the system and
+    # holds every b column.  Columns outside it are never assembled.
+    # deg_w(f^a) = w.E, with E the x-exponent of one term of f^a
+    lead = [next(iter(f.terms)) for f in ctx.F]
+    target = ctx.weight([sum(ai * e[j] for ai, e in zip(a, lead)) for j in range(n)])
+    by_weight: dict[tuple[int, ...], list[Exps]] = {}
+    for alpha in alphas:
+        by_weight.setdefault(ctx.weight(alpha), []).append(alpha)
+    graded = [
+        (beta, kept)
+        for beta in betas
+        if (kept := by_weight.get(tuple(map(sub, ctx.weight(beta), target))))
+    ]
+    for beta, _ in graded:
+        germ_for(beta)
+
+    M = tuple(max([a[i], *(germs[b].denom[i] for b, _ in graded)]) for i in range(r))
 
     ucols: list[tuple[Exps, Exps, Exps]] = [
-        (beta, alpha, sigma) for beta in betas for alpha in alphas for sigma in sigmas
+        (beta, alpha, sigma)
+        for beta, kept in graded
+        for alpha in kept
+        for sigma in sigmas
     ]
     U = len(ucols)
     ncols = U + len(taus)
@@ -198,10 +234,10 @@ def find_bs_pair(
     # exponent shifts.  Column U + t is -f^(M - a) s^taus[t].
     rows: dict[Exps, dict[int, Fraction]] = {}
     col = 0
-    for beta in betas:
+    for beta, kept in graded:
         g = germs[beta]
         base = g.num * ctx.f_power(tuple(x - y for x, y in zip(M, g.denom)))
-        for alpha in alphas:
+        for alpha in kept:
             for sigma in sigmas:
                 for mono, c in _shifted(base, alpha + sigma):
                     rows.setdefault(mono, {})[col] = c
@@ -212,32 +248,59 @@ def find_bs_pair(
             rows.setdefault(mono, {})[col] = c
         col += 1
 
+    # Block pick: join the columns of each row and keep the rows of the
+    # components that hold a b column, in their order.  Rows of different
+    # components share no column, so each component reduces under the
+    # pivot rule exactly as it would alone, and the kernel is the direct
+    # sum of the components' kernels; a kernel vector of a component with
+    # no b column has b-part 0.  The kept columns are renumbered in order.
+    parent = list(range(ncols))
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for row in rows.values():
+        first, *rest = map(root, row)
+        for c in rest:
+            parent[c] = first
+    b_roots = {root(c) for c in range(U, ncols)}
+    kept_rows = [
+        rows[m]
+        for m in sorted(rows, key=grlex_key, reverse=True)
+        if root(next(iter(rows[m]))) in b_roots
+    ]
+    cols = sorted({c for row in kept_rows for c in row})
+    index = {c: k for k, c in enumerate(cols)}
+    block = [{index[c]: v for c, v in row.items()} for row in kept_rows]
+    Ub = len(cols) - len(taus)
+
     cap = cell_cap()
-    if len(rows) * ncols > cap:
+    if len(block) * len(cols) > cap:
         raise SolveCapExceeded(
-            f"linear system of {len(rows)}x{ncols} exceeds cap {cap} "
+            f"linear system of {len(block)}x{len(cols)} exceeds cap {cap} "
             f"(set {_CELL_CAP_ENV} to raise it)"
         )
 
-    ordered_rows = [rows[m] for m in sorted(rows, key=grlex_key, reverse=True)]
-    basis = linalg.nullspace(ordered_rows, ncols)
+    basis = linalg.nullspace(block, len(cols))
 
     # Operator columns come first and b columns ascend in graded lex.  A
     # basis vector is 1 at its free column f and nonzero elsewhere only at
     # pivot columns below f, so the first one whose f is a b column has a
-    # b-part led by taus[f - U] with coefficient 1, and no b in the kernel
+    # b-part led by taus[f - Ub] with coefficient 1, and no b in the kernel
     # leads with a smaller monomial: that b-part is the canonical b, and
     # the vector's operator part, 0 at the other free columns, is P.
-    vec = next((v for v in basis if max(v) >= U), None)
+    vec = next((v for v in basis if max(v) >= Ub), None)
     if vec is None:
         return None
-    b = MPoly(r, {taus[j - U]: c for j, c in vec.items() if j >= U})
+    b = MPoly(r, {taus[j - Ub]: c for j, c in vec.items() if j >= Ub})
 
     op_terms: dict[tuple[Exps, Exps], MPoly] = {}
-    for t, (beta, alpha, sigma) in enumerate(ucols):
-        c = vec.get(t)
-        if not c:
+    for j, c in vec.items():
+        if j >= Ub or not c:
             continue
+        beta, alpha, sigma = ucols[cols[j]]
         key = (alpha, beta)
         add = MPoly.monomial(r, sigma, c)
         op_terms[key] = op_terms[key] + add if key in op_terms else add

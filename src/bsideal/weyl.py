@@ -16,8 +16,11 @@ derivative and are cancelled back eagerly.
 
 from __future__ import annotations
 
+import math
+from operator import mul
 from typing import Sequence
 
+from .linalg import nullspace
 from .polynomials import MPoly, Scalar, format_poly, grlex_key
 
 Exps = tuple[int, ...]
@@ -161,9 +164,15 @@ class GermContext:
 
     F is stored in the combined ring Q[x, s] with the x block first; each
     f_i must be nonzero and free of the s variables.
+
+    `weights` is an integer basis of the weight space
+    W = {w in Q^n : every f_i is w-homogeneous}, the kernel of the
+    differences between the x-exponents of the terms of each f_i.  It is
+    empty when no nonzero w grades every f_i (a constant term next to a
+    nonconstant one, say), and spans Q^n for a monomial collection.
     """
 
-    __slots__ = ("x_names", "s_vars", "F", "partials", "_power_cache")
+    __slots__ = ("x_names", "s_vars", "F", "partials", "weights", "_power_cache")
 
     def __init__(self, x_names: Sequence[str], s_vars: Sequence[str], F: Sequence[MPoly]):
         n, r = len(x_names), len(s_vars)
@@ -188,6 +197,18 @@ class GermContext:
             "partials",
             tuple(tuple(f.derivative(j) for j in range(n)) for f in lifted),
         )
+        diffs = []
+        for f in lifted:
+            first, *rest = (e[:n] for e in f.terms)
+            diffs.extend(
+                {j: x - y for j, (x, y) in enumerate(zip(e, first)) if x != y}
+                for e in rest
+            )
+        weights = []
+        for w in nullspace(diffs, n):
+            lcm = math.lcm(*(q.denominator for q in w.values()))
+            weights.append(tuple(int(w.get(j, 0) * lcm) for j in range(n)))
+        object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "_power_cache", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -216,6 +237,10 @@ class GermContext:
 
     def __hash__(self) -> int:
         return hash((self.x_names, self.s_vars, self.F))
+
+    def weight(self, exps: Sequence[int]) -> tuple[int, ...]:
+        """The w-degree w . exps of an x-exponent under each basis vector of W."""
+        return tuple(sum(map(mul, w, exps)) for w in self.weights)
 
     def one(self) -> MPoly:
         return MPoly.const(self.nvars, 1)

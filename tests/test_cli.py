@@ -194,6 +194,11 @@ def test_no_inputs_is_usage_error(capsys):
         ),
         {**PAIR, "resolution_graph": {"r": "2", "components": [{"L": [1, 1]}]}},
         {"resolution_graph": {"r": True, "components": [{"L": [1]}]}, "tasks": ["snc"]},
+        # a misspelt key would silently take its default
+        {**PAIR, "resolution_graph": {"r": 2, "components": [{"L": [1, 0], "Chi": 3},
+                                                            {"L": [0, 1]}]}},
+        {**PAIR, "resolution_graph": {"r": 2, "components": [{"L": [1, 0]}, {"L": [0, 1]}],
+                                      "extra": 1}},
         # a twisted f_i that lies on no component
         {**PAIR, "a": [1, 0], "tasks": ["snc"],
          "resolution_graph": {"r": 2, "components": [{"L": [0, 1]}]}},

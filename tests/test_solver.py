@@ -1,7 +1,11 @@
 """Bounded functional-equation solver against hand-checkable classics."""
 
+import importlib.util
+import os
 import random
+import sys
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 
@@ -17,7 +21,7 @@ from bsideal.solver import (
     sample_ideal,
     verify,
 )
-from bsideal.weyl import GermContext, WeylOperator
+from bsideal.weyl import GermContext, GermElement, WeylOperator, partial_derivative
 
 
 def make_ctx(names, f_texts):
@@ -141,10 +145,14 @@ def test_twist_validation():
         find_bs_pair(ctx, (1, 1), SolveBounds(1, 0, 0, 1))
 
 
-# Certificates and the (rows, columns, nonzeros) of every system handed to
-# linalg.nullspace, one per strategy.  They were recorded from a solver that
-# multiplied whole polynomials per column and recovered P by a second
-# elimination, so they pin P and the system against how both are computed.
+# Certificates and the (rows, columns, nonzeros) of every block handed to
+# linalg.nullspace, one per strategy.  The certificates were recorded from a
+# solver that multiplied whole polynomials per column, eliminated the whole
+# system and recovered P by a second elimination, so they pin P against how
+# it is computed; the sizes are those of the weight-graded block of the b
+# columns (the whole systems were (308, 304, 1812), (257, 124, 702),
+# (244, 124, 822), (124, 64, 158) and (754, 905, 8120), (622, 305, 2780),
+# (622, 305, 2780), (566, 185, 1280)).
 PINNED = [
     (
         "x^2 + y^3",
@@ -155,7 +163,7 @@ PINNED = [
             "b": "s^3 + 3*s^2 + 107/36*s + 35/36",
             "P": "1/12*y*dx^2*dy + 1/27*dy^3 + (1/4*s + 3/8)*dx^2",
         },
-        [(308, 304, 1812), (257, 124, 702), (244, 124, 822), (124, 64, 158)],
+        [(18, 16, 93), (15, 10, 51), (15, 7, 39), (4, 4, 4)],
     ),
     (
         "x^3 + y^3",
@@ -167,7 +175,7 @@ PINNED = [
             "P": "2/81*y*dx^3*dy + (-2/81)*y*dy^4 + (1/27*s + 2/27)*dx^3 "
             "+ (1/9*s + 2/27)*dy^3",
         },
-        [(754, 905, 8120), (622, 305, 2780), (622, 305, 2780), (566, 185, 1280)],
+        [(32, 29, 260), (26, 13, 108), (26, 13, 108), (20, 5, 20)],
     ),
 ]
 
@@ -222,13 +230,13 @@ def test_sample_ideal_takes_each_germ_derivative_once(monkeypatch):
     assert len(calls) == 14
 
 
-def two_step_certificate(ctx, bounds, d_support, ncols, basis):
-    """(b, P) read the way the solver once did, from the same kernel basis.
+def full_system(ctx, a, bounds, d_support=None):
+    """The whole bounded system: every column assembled, no block picked.
 
-    The b-parts of the kernel vectors, with their columns in descending
-    graded lex, go through rref_rational; its last row vstar is the monic b
-    with the smallest leading monomial, and P is the operator part of
-    sum vstar[f] * vec over the vectors with a b column f as free column.
+    Returns (ucols, taus, rows): operator columns (beta, alpha, sigma) come
+    first, then one b column per tau; each column is brought to the common
+    denominator f^M of all betas, and rows are the monomials in descending
+    graded lex.
     """
     n, r = ctx.n, ctx.r
     order = bounds.max_operator_order
@@ -238,6 +246,14 @@ def two_step_certificate(ctx, bounds, d_support, ncols, basis):
         betas = sorted({tuple(b) for b in d_support if sum(b) <= order}, key=grlex_key)
         if (0,) * n not in betas:
             betas.insert(0, (0,) * n)
+    germs = {}
+    for beta in betas:
+        g = GermElement.power(ctx, a)
+        for j, k in enumerate(beta):
+            for _ in range(k):
+                g = partial_derivative(g, j)
+        germs[beta] = g
+    M = [max([g.denom[i] for g in germs.values()] + [a[i]]) for i in range(r)]
     ucols = [
         (beta, alpha, sigma)
         for beta in betas
@@ -245,62 +261,133 @@ def two_step_certificate(ctx, bounds, d_support, ncols, basis):
         for sigma in iter_monomials(r, bounds.max_s_degree)
     ]
     taus = list(iter_monomials(r, bounds.max_b_degree))
-    U, T = len(ucols), len(taus)
-    assert U + T == ncols
-    b_vectors = [vec for vec in basis if max(vec) >= U]
-    if not b_vectors:
+    bases = {
+        beta: g.num * ctx.f_power([m - d for m, d in zip(M, g.denom)])
+        for beta, g in germs.items()
+    }
+    polys = [(bases[beta], alpha + sigma) for beta, alpha, sigma in ucols]
+    rhs = -ctx.f_power([m - x for m, x in zip(M, a)])
+    polys += [(rhs, (0,) * n + tau) for tau in taus]
+    rows = {}
+    for col, (poly, shift) in enumerate(polys):
+        for mono, c in poly.terms.items():
+            rows.setdefault(tuple(map(add, mono, shift)), {})[col] = c
+    return ucols, taus, [rows[m] for m in sorted(rows, key=grlex_key, reverse=True)]
+
+
+def full_system_certificate(ctx, a, bounds, d_support=None):
+    """(b, P) from the first nullspace vector of the whole system whose free
+    column is a b column, or None."""
+    ucols, taus, rows = full_system(ctx, a, bounds, d_support)
+    U = len(ucols)
+    basis = linalg.nullspace(rows, U + len(taus))
+    vec = next((v for v in basis if max(v) >= U), None)
+    if vec is None:
         return None
-    # projection column k holds taus[T - 1 - k]
-    projections = [{T - 1 - (j - U): v for j, v in vec.items() if j >= U} for vec in b_vectors]
-    _, vstar = linalg.rref_rational(projections)[-1]
-    b = MPoly(r, {taus[T - 1 - k]: c for k, c in vstar.items()})
-    u = {}
-    for vec in b_vectors:
-        w = vstar.get(T - 1 - (max(vec) - U))
-        if not w:
-            continue
-        for j, v in vec.items():
-            if j < U:
-                u[j] = u.get(j, 0) + w * v
     terms = {}
-    for t, c in u.items():
-        if c:
+    for t, c in vec.items():
+        if t < U:
             beta, alpha, sigma = ucols[t]
-            term = MPoly.monomial(r, sigma, c)
+            term = MPoly.monomial(ctx.r, sigma, c)
             terms[(alpha, beta)] = terms[(alpha, beta)] + term if (alpha, beta) in terms else term
-    return b, WeylOperator(n, r, terms)
+    b = MPoly(ctx.r, {taus[j - U]: c for j, c in vec.items() if j >= U})
+    return b, WeylOperator(ctx.n, ctx.r, terms)
 
 
 def test_certificate_matches_two_step_oracle(monkeypatch):
-    captured = []
+    # the oracle eliminates the whole system, the solver only the
+    # weight-graded block of the b columns: the two must agree
     compared = []
-    nullspace, find = linalg.nullspace, solver.find_bs_pair
-
-    def spy_nullspace(rows, ncols):
-        basis = nullspace(rows, ncols)
-        captured.append((ncols, basis))
-        return basis
+    find = solver.find_bs_pair
 
     def spy_find(ctx, a, bounds, d_support=None, **kwargs):
         cert = find(ctx, a, bounds, d_support, **kwargs)
-        (ncols, basis), = captured
-        captured.clear()
-        want = two_step_certificate(ctx, bounds, d_support, ncols, basis)
+        want = full_system_certificate(ctx, a, bounds, d_support)
         assert (None if cert is None else (cert.b, cert.P)) == want
         compared.append(cert is not None)
         return cert
 
-    monkeypatch.setattr(linalg, "nullspace", spy_nullspace)
     monkeypatch.setattr(solver, "find_bs_pair", spy_find)
     problems = [(spec.ctx, spec.a, spec.bounds) for spec in load_specs(corpus_paths())]
     problems.append((make_ctx(["x", "y", "z"], ["x*y", "y*z"]), (1, 2), SolveBounds(6, 0, 0, 6)))
     # boxes with slack, whose kernels hold several vectors with a b-part
     problems.append((make_ctx(["x"], ["x"]), (1,), SolveBounds(2, 1, 1, 3)))
     problems.append((make_ctx(["x", "y"], ["x^2 + y^3"]), (1,), SolveBounds(3, 3, 2, 4)))
+    # a weight with a negative entry: W is spanned by (-1, 1)
+    problems.append((make_ctx(["x", "y"], ["x*y + 1"]), (1,), SolveBounds(2, 1, 1, 2)))
+    # W = {0}: no grading, the block pick alone cuts the system
+    ungraded = make_ctx(["x", "y"], ["x^2 + y^3 + x^2*y^2"])
+    assert ungraded.weights == ()
     for ctx, a, bounds in problems:
-        found = sample_ideal(ctx, a, bounds)
-        assert found
+        assert sample_ideal(ctx, a, bounds)
     assert sum(compared) >= len(problems)
+    compared.clear()
+    assert sample_ideal(ungraded, (1,), SolveBounds(3, 3, 2, 3)) == []
+    assert sample_ideal(ungraded, (1,), SolveBounds(3, 3, 3, 4))
+    assert compared[:2] == [False, True]
+
+
+def b_block_columns(ncols, U, rows):
+    """Columns connected to a b column (index >= U) through shared rows."""
+    by_col = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            by_col.setdefault(c, []).append(i)
+    seen, todo = set(range(U, ncols)), list(range(U, ncols))
+    while todo:
+        for i in by_col.get(todo.pop(), ()):
+            for c in rows[i]:
+                if c not in seen:
+                    seen.add(c)
+                    todo.append(c)
+    return seen
+
+
+def bp_rungs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    if not os.path.exists(path):
+        return []
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    names = ["x", "y", "z", "w"]
+    return [
+        (
+            make_ctx(names[: len(p)], [" + ".join(f"{v}^{k}" for v, k in zip(names, p))]),
+            (1,),
+            SolveBounds(*box),
+        )
+        for p, box in module.BP_RUNGS
+    ]
+
+
+def test_graded_columns_contain_the_b_block():
+    problems = [(spec.ctx, spec.a, spec.bounds) for spec in load_specs(corpus_paths())]
+    problems += bp_rungs()
+    problems.append((make_ctx(["x", "y"], ["x^2 + y^3 + x^2*y^2"]), (1,), SolveBounds(3, 3, 2, 3)))
+    problems.append((make_ctx(["x", "y"], ["x*y + 1"]), (1,), SolveBounds(2, 1, 1, 2)))
+    for ctx, a, bounds in problems:
+        ucols, taus, rows = full_system(ctx, a, bounds)
+        U = len(ucols)
+        block = b_block_columns(U + len(taus), U, rows)
+        # E: the x-exponent of f^a built from one term of each f_i
+        E = [0] * ctx.n
+        for ai, f in zip(a, ctx.F):
+            E = [x + ai * e for x, e in zip(E, next(iter(f.terms)))]
+        target = ctx.weight(E)
+        graded = {
+            t
+            for t, (beta, alpha, _) in enumerate(ucols)
+            if tuple(x - y for x, y in zip(ctx.weight(beta), ctx.weight(alpha))) == target
+        }
+        assert {t for t in block if t < U} <= graded
+        for w in ctx.weights:
+            for f in ctx.F:
+                assert len({sum(map(mul, w, e)) for e in f.terms}) == 1
 
 
 def test_find_bs_pair_eliminates_once(monkeypatch):
@@ -311,12 +398,61 @@ def test_find_bs_pair_eliminates_once(monkeypatch):
         calls.append(1)
         return rref(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "rref", spy)
+    # the context's weight space is one elimination of its own, made once
     ctx = make_ctx(["x", "y"], ["x^2 + y^3"])
+    monkeypatch.setattr(linalg, "rref", spy)
     assert find_bs_pair(ctx, (1,), SolveBounds(3, 3, 2, 3)) is not None
     assert len(calls) == 1
     assert find_bs_pair(ctx, (1,), SolveBounds(3, 3, 2, 2)) is None
     assert len(calls) == 2
+
+
+def brieskorn_pham_b(p):
+    """Coefficients of b_f for f = sum x_i^p_i, lowest degree first.
+
+    b_f = (s + 1) * prod (s + l) over the distinct l = sum (m_i + 1)/p_i
+    with 0 <= m_i <= p_i - 2, multiplied out in plain Fractions.
+    """
+    ls = {Fraction(0)}
+    for pi in p:
+        ls = {l + Fraction(m + 1, pi) for l in ls for m in range(pi - 1)}
+    coeffs = [Fraction(1)]
+    for root in [Fraction(1)] + sorted(ls):
+        # times (s + root)
+        coeffs = [
+            (coeffs[k - 1] if k else 0) + root * (coeffs[k] if k < len(coeffs) else 0)
+            for k in range(len(coeffs) + 1)
+        ]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "p, box",
+    [
+        ((2, 5), (5, 5, 4, 5)),
+        ((2, 5), (5, 8, 4, 5)),
+        ((3, 4), (7, 3, 3, 7)),
+        ((2, 2, 3), (3, 2, 2, 3)),
+    ],
+    ids=["x^2+y^5 (5,5,4,5)", "x^2+y^5 (5,8,4,5)", "x^3+y^4 (7,3,3,7)", "x^2+y^2+z^3 (3,2,2,3)"],
+)
+def test_brieskorn_pham_closed_form(monkeypatch, p, box):
+    # under the default cap: the first two boxes' whole systems (2058 x 2211
+    # and 3003 x 4731) exceed it, their b blocks do not
+    monkeypatch.delenv("BSIDEAL_MAX_CELLS", raising=False)
+    names = ["x", "y", "z"][: len(p)]
+    ctx = make_ctx(names, [" + ".join(f"{v}^{k}" for v, k in zip(names, p))])
+    cert = find_bs_pair(ctx, (1,), SolveBounds(*box))
+    want = brieskorn_pham_b(p)
+    assert len(want) == box[3] + 1
+    assert cert.b.terms == {(k,): c for k, c in enumerate(want) if c}
+
+
+def test_brieskorn_pham_below_degree_of_b_f():
+    # any certified b is a multiple of b_f, whose degree 5 exceeds the box
+    ctx = make_ctx(["x", "y"], ["x^2 + y^5"])
+    assert len(brieskorn_pham_b((2, 5))) - 1 == 5
+    assert find_bs_pair(ctx, (1,), SolveBounds(5, 3, 3, 4)) is None
 
 
 def test_cell_cap(monkeypatch):
