@@ -19,23 +19,17 @@ is deterministic.  The canonical P is the operator part paired with it
 that is 0 at every free operator column of the reduced system.  Both are
 read off a single nullspace basis vector, so each call eliminates once.
 
-Only the block of the system that can hold b is built and eliminated:
-
-* Weight grading (before assembly).  For w in the weight space W of F
-  (`GermContext.weights`), every column is w-homogeneous in x and every
-  row is one monomial, so a row only joins columns of one w-degree.  The
-  columns whose degree differs from that of the b columns are never
-  assembled, and no germ derivative is taken for an operator monomial
-  that has none of them.  When W = {0} this keeps everything.
-* Block pick (before elimination).  A union-find over the assembled rows
-  keeps the rows of the connected components that hold a b column, in
-  their order.  Components share no column, so each reduces under the
-  pivot rule as it would alone, and the kernel is the direct sum of the
-  components' kernels; the others carry no b.
-
-Both steps leave the kernel's vectors with a b-part unchanged, and the
-common denominator f^M only scales rows, so (b, P) is the certificate of
-the whole system.  The size cap applies to the block that is eliminated.
+Only the weight-graded piece of the system that holds b is built and
+eliminated.  For w in the weight space W of F (`GermContext.weights`),
+every column is w-homogeneous in x and every row is one monomial, so a row
+only joins columns of one w-degree.  The piece whose degree is that of the
+b columns is therefore a union of whole connected components: it reduces
+under the pivot rule as it would inside the whole system, and the kernel
+vectors with a b-part are those of the piece.  The other columns are never
+assembled, and no germ derivative is taken for an operator monomial that
+has none in the piece.  When W = {0} this keeps everything.  The common
+denominator f^M only scales rows, so (b, P) is the certificate of the whole
+system.  The size cap applies to the piece that is eliminated.
 """
 
 from __future__ import annotations
@@ -72,7 +66,7 @@ class InvertibleTwistError(SolverError):
 
 
 class SolveCapExceeded(SolverError):
-    """The block to eliminate would exceed the configured size cap."""
+    """The bounded linear system would exceed the configured size cap."""
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,8 @@ def _validate_twist(ctx: GermContext, a: Sequence[int]) -> tuple[int, ...]:
 
 
 def cell_cap() -> int:
-    """Cap on the eliminated block's rows x columns: BSIDEAL_MAX_CELLS or 4,000,000.
+    """The cap on rows x columns of the eliminated system, from BSIDEAL_MAX_CELLS,
+    or the default.
 
     Raises ValueError when the variable is set to anything but a positive
     integer.
@@ -248,59 +243,32 @@ def find_bs_pair(
             rows.setdefault(mono, {})[col] = c
         col += 1
 
-    # Block pick: join the columns of each row and keep the rows of the
-    # components that hold a b column, in their order.  Rows of different
-    # components share no column, so each component reduces under the
-    # pivot rule exactly as it would alone, and the kernel is the direct
-    # sum of the components' kernels; a kernel vector of a component with
-    # no b column has b-part 0.  The kept columns are renumbered in order.
-    parent = list(range(ncols))
-
-    def root(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    for row in rows.values():
-        first, *rest = map(root, row)
-        for c in rest:
-            parent[c] = first
-    b_roots = {root(c) for c in range(U, ncols)}
-    kept_rows = [
-        rows[m]
-        for m in sorted(rows, key=grlex_key, reverse=True)
-        if root(next(iter(rows[m]))) in b_roots
-    ]
-    cols = sorted({c for row in kept_rows for c in row})
-    index = {c: k for k, c in enumerate(cols)}
-    block = [{index[c]: v for c, v in row.items()} for row in kept_rows]
-    Ub = len(cols) - len(taus)
-
     cap = cell_cap()
-    if len(block) * len(cols) > cap:
+    if len(rows) * ncols > cap:
         raise SolveCapExceeded(
-            f"linear system of {len(block)}x{len(cols)} exceeds cap {cap} "
+            f"linear system of {len(rows)}x{ncols} exceeds cap {cap} "
             f"(set {_CELL_CAP_ENV} to raise it)"
         )
 
-    basis = linalg.nullspace(block, len(cols))
+    ordered_rows = [rows[m] for m in sorted(rows, key=grlex_key, reverse=True)]
+    basis = linalg.nullspace(ordered_rows, ncols)
 
     # Operator columns come first and b columns ascend in graded lex.  A
     # basis vector is 1 at its free column f and nonzero elsewhere only at
     # pivot columns below f, so the first one whose f is a b column has a
-    # b-part led by taus[f - Ub] with coefficient 1, and no b in the kernel
+    # b-part led by taus[f - U] with coefficient 1, and no b in the kernel
     # leads with a smaller monomial: that b-part is the canonical b, and
     # the vector's operator part, 0 at the other free columns, is P.
-    vec = next((v for v in basis if max(v) >= Ub), None)
+    vec = next((v for v in basis if max(v) >= U), None)
     if vec is None:
         return None
-    b = MPoly(r, {taus[j - Ub]: c for j, c in vec.items() if j >= Ub})
+    b = MPoly(r, {taus[j - U]: c for j, c in vec.items() if j >= U})
 
     op_terms: dict[tuple[Exps, Exps], MPoly] = {}
-    for j, c in vec.items():
-        if j >= Ub or not c:
+    for t, (beta, alpha, sigma) in enumerate(ucols):
+        c = vec.get(t)
+        if not c:
             continue
-        beta, alpha, sigma = ucols[cols[j]]
         key = (alpha, beta)
         add = MPoly.monomial(r, sigma, c)
         op_terms[key] = op_terms[key] + add if key in op_terms else add

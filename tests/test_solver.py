@@ -145,12 +145,12 @@ def test_twist_validation():
         find_bs_pair(ctx, (1, 1), SolveBounds(1, 0, 0, 1))
 
 
-# Certificates and the (rows, columns, nonzeros) of every block handed to
+# Certificates and the (rows, columns, nonzeros) of every system handed to
 # linalg.nullspace, one per strategy.  The certificates were recorded from a
 # solver that multiplied whole polynomials per column, eliminated the whole
 # system and recovered P by a second elimination, so they pin P against how
-# it is computed; the sizes are those of the weight-graded block of the b
-# columns (the whole systems were (308, 304, 1812), (257, 124, 702),
+# it is computed; the sizes are those of the weight-graded piece that holds
+# the b columns (the whole systems were (308, 304, 1812), (257, 124, 702),
 # (244, 124, 822), (124, 64, 158) and (754, 905, 8120), (622, 305, 2780),
 # (622, 305, 2780), (566, 185, 1280)).
 PINNED = [
@@ -175,7 +175,7 @@ PINNED = [
             "P": "2/81*y*dx^3*dy + (-2/81)*y*dy^4 + (1/27*s + 2/27)*dx^3 "
             "+ (1/9*s + 2/27)*dy^3",
         },
-        [(32, 29, 260), (26, 13, 108), (26, 13, 108), (20, 5, 20)],
+        [(74, 61, 540), (44, 17, 144), (44, 17, 144), (58, 13, 100)],
     ),
 ]
 
@@ -231,7 +231,7 @@ def test_sample_ideal_takes_each_germ_derivative_once(monkeypatch):
 
 
 def full_system(ctx, a, bounds, d_support=None):
-    """The whole bounded system: every column assembled, no block picked.
+    """The whole bounded system: every column assembled, none graded away.
 
     Returns (ucols, taus, rows): operator columns (beta, alpha, sigma) come
     first, then one b column per tau; each column is brought to the common
@@ -275,28 +275,57 @@ def full_system(ctx, a, bounds, d_support=None):
     return ucols, taus, [rows[m] for m in sorted(rows, key=grlex_key, reverse=True)]
 
 
-def full_system_certificate(ctx, a, bounds, d_support=None):
-    """(b, P) from the first nullspace vector of the whole system whose free
-    column is a b column, or None."""
-    ucols, taus, rows = full_system(ctx, a, bounds, d_support)
-    U = len(ucols)
-    basis = linalg.nullspace(rows, U + len(taus))
-    vec = next((v for v in basis if max(v) >= U), None)
-    if vec is None:
-        return None
+def operator(ctx, ucols, u):
+    """The Weyl operator whose coefficient at column t is u[t]."""
     terms = {}
-    for t, c in vec.items():
-        if t < U:
+    for t, c in u.items():
+        if c:
             beta, alpha, sigma = ucols[t]
             term = MPoly.monomial(ctx.r, sigma, c)
             terms[(alpha, beta)] = terms[(alpha, beta)] + term if (alpha, beta) in terms else term
+    return WeylOperator(ctx.n, ctx.r, terms)
+
+
+def full_system_certificate(ctx, a, bounds, d_support=None):
+    """(b, P) of the whole system, read from its kernel basis in two ways.
+
+    One-vector reading: the first basis vector whose free column is a b
+    column.  Two-step reading: the b-parts of all such vectors, with their
+    columns in descending graded lex, go through rref_rational; its last
+    row vstar is the monic b with the smallest leading monomial, and P is
+    the operator part of sum vstar[f] * vec over the vectors with b column
+    f as free column.  The two must agree; returns their (b, P), or None.
+    """
+    ucols, taus, rows = full_system(ctx, a, bounds, d_support)
+    U, T = len(ucols), len(taus)
+    basis = linalg.nullspace(rows, U + T)
+    b_vectors = [vec for vec in basis if max(vec) >= U]
+    if not b_vectors:
+        return None
+
+    vec = b_vectors[0]
     b = MPoly(ctx.r, {taus[j - U]: c for j, c in vec.items() if j >= U})
-    return b, WeylOperator(ctx.n, ctx.r, terms)
+    P = operator(ctx, ucols, {j: c for j, c in vec.items() if j < U})
+
+    # projection column k holds taus[T - 1 - k]
+    projections = [{T - 1 - (j - U): v for j, v in vec.items() if j >= U} for vec in b_vectors]
+    _, vstar = linalg.rref_rational(projections)[-1]
+    u = {}
+    for vec in b_vectors:
+        w = vstar.get(T - 1 - (max(vec) - U))
+        if not w:
+            continue
+        for j, v in vec.items():
+            if j < U:
+                u[j] = u.get(j, 0) + w * v
+    assert MPoly(ctx.r, {taus[T - 1 - k]: c for k, c in vstar.items()}) == b
+    assert operator(ctx, ucols, u) == P
+    return b, P
 
 
 def test_certificate_matches_two_step_oracle(monkeypatch):
-    # the oracle eliminates the whole system, the solver only the
-    # weight-graded block of the b columns: the two must agree
+    # the oracle eliminates the whole system and reads (b, P) two ways, the
+    # solver only the weight-graded piece of the b columns: all must agree
     compared = []
     find = solver.find_bs_pair
 
@@ -315,7 +344,7 @@ def test_certificate_matches_two_step_oracle(monkeypatch):
     problems.append((make_ctx(["x", "y"], ["x^2 + y^3"]), (1,), SolveBounds(3, 3, 2, 4)))
     # a weight with a negative entry: W is spanned by (-1, 1)
     problems.append((make_ctx(["x", "y"], ["x*y + 1"]), (1,), SolveBounds(2, 1, 1, 2)))
-    # W = {0}: no grading, the block pick alone cuts the system
+    # W = {0}: the grading keeps every column
     ungraded = make_ctx(["x", "y"], ["x^2 + y^3 + x^2*y^2"])
     assert ungraded.weights == ()
     for ctx, a, bounds in problems:
@@ -438,7 +467,7 @@ def brieskorn_pham_b(p):
 )
 def test_brieskorn_pham_closed_form(monkeypatch, p, box):
     # under the default cap: the first two boxes' whole systems (2058 x 2211
-    # and 3003 x 4731) exceed it, their b blocks do not
+    # and 3003 x 4731) exceed it, their graded pieces (50 x 66, 50 x 76) do not
     monkeypatch.delenv("BSIDEAL_MAX_CELLS", raising=False)
     names = ["x", "y", "z"][: len(p)]
     ctx = make_ctx(names, [" + ".join(f"{v}^{k}" for v, k in zip(names, p))])
