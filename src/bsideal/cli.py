@@ -230,7 +230,7 @@ def load_specs(paths: Sequence[str]) -> list[ProblemSpec]:
                 data = json.load(fh)
         except OSError as exc:
             raise SpecError(f"{path}: cannot read: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, not UTF-8, or an over-long integer
             raise SpecError(f"{path}: invalid JSON: {exc}") from exc
         entries = data if isinstance(data, list) else [data]
         for entry in entries:

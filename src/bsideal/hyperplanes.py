@@ -91,9 +91,7 @@ def linear_form(normal: Sequence[int], intercept: Scalar = 0) -> MPoly:
             e = [0] * r
             e[i] = 1
             terms[tuple(e)] = v
-    c = Fraction(intercept)
-    if c:
-        terms[(0,) * r] = c
+    terms[(0,) * r] = intercept
     return MPoly(r, terms)
 
 
@@ -122,12 +120,12 @@ def _offsets(r: int, limit: int) -> Iterator[tuple[int, ...]]:
 
 def _restrict_to_line(
     p: MPoly, offset: Sequence[int], direction: Sequence[int]
-) -> list[Fraction]:
+) -> list[Scalar]:
     """Coefficients (ascending) of t -> p(offset + t*direction)."""
     t = MPoly.variable(1, 0)
     reps = [MPoly.const(1, c) + int(d) * t for c, d in zip(offset, direction)]
     q = p.compose(reps)
-    coeffs = [Fraction(0)] * (q.total_degree() + 1 if not q.is_zero() else 1)
+    coeffs: list[Scalar] = [0] * (q.total_degree() + 1 if not q.is_zero() else 1)
     for e, c in q.terms.items():
         coeffs[e[0]] = c
     return coeffs

@@ -21,12 +21,17 @@ FracRow = dict[int, Fraction]
 
 
 def clear_row(row: dict[int, Fraction | int]) -> IntRow:
-    """Scale one equation so all coefficients are coprime integers."""
-    items = [(j, c) for j, c in row.items() if c]
-    if not items:
+    """Scale one equation so all coefficients are coprime integers.
+
+    A row that is already all int (every assembled row over an integral F)
+    skips the pass that clears denominators.
+    """
+    ints = {j: c for j, c in row.items() if c}
+    if not ints:
         return {}
-    lcm = math.lcm(*(c.denominator for _, c in items))
-    ints = {j: c.numerator * (lcm // c.denominator) for j, c in items}
+    if any(type(c) is not int for c in ints.values()):
+        lcm = math.lcm(*(c.denominator for c in ints.values()))
+        ints = {j: c.numerator * (lcm // c.denominator) for j, c in ints.items()}
     g = math.gcd(*ints.values())
     return {j: v // g for j, v in ints.items()}
 

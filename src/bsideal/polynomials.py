@@ -1,8 +1,13 @@
 """Sparse multivariate polynomials over the rationals.
 
-Coefficients are `fractions.Fraction`, exponent vectors are tuples of
+Coefficients are `int` where they are integral and `fractions.Fraction`
+only where they are not (the content/primitive-part view of Geddes,
+Czapor and Labahn, *Algorithms for Computer Algebra*, ch. 2): F, its
+powers and its derivatives stay integral, and a `Fraction` is made only
+where a division really happens.  Exponent vectors are tuples of
 nonnegative ints, and every operation is exact.  Nothing in this package
-ever touches floating point.
+ever touches floating point; `int / int` is never written, because in
+Python it is a float.
 
 The fixed monomial order used for leading terms, display, and every
 canonical tie-break is graded lexicographic: compare total degree first,
@@ -11,7 +16,9 @@ then the exponent tuple lexicographically.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from operator import add, lt, neg, sub
 from typing import Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -22,20 +29,32 @@ def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
-def _coerce(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+def _coerce(c: Scalar) -> Scalar:
+    """c as an int when it is integral (bools included), else the Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+    return int(c) if c.denominator == 1 else c
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """Exact a / b: an int when it divides, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coerce(Fraction(a, b))
 
 
 class MPoly:
     """Immutable sparse polynomial in a fixed number of variables.
 
-    ``terms`` maps exponent tuples to nonzero Fraction coefficients.  The
-    constructor normalizes: zero coefficients are dropped, ints are
-    promoted to Fraction, exponent tuples are length-checked.
+    ``terms`` maps exponent tuples to nonzero int or Fraction coefficients.
+    The constructor normalizes: zero coefficients are dropped, integral
+    coefficients (an integral Fraction or a bool) are stored as int,
+    exponent tuples are length-checked.  Sums, products and derivatives of
+    int coefficients stay int; arithmetic that involves a Fraction may leave
+    an integral Fraction, which compares, hashes and prints as the int it
+    equals.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
@@ -43,22 +62,16 @@ class MPoly:
     def __init__(self, nvars: int, terms: Mapping[Exponents, Scalar] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        clean: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Scalar] = {}
         if terms:
             for exps, c in terms.items():
                 e = tuple(exps)
                 if len(e) != nvars or any(x < 0 or not isinstance(x, int) for x in e):
                     raise ValueError(f"bad exponent tuple {e!r} for {nvars} variables")
                 c = _coerce(c)
-                if c:
-                    acc = clean.get(e)
-                    c = c if acc is None else acc + c
-                    if c:
-                        clean[e] = c
-                    elif acc is not None:
-                        del clean[e]
+                acc[e] = acc[e] + c if e in acc else c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {e: _coerce(c) for e, c in acc.items() if c})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -97,13 +110,13 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, 0)
 
-    def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coeff(self, exps: Sequence[int]) -> Scalar:
+        return self.terms.get(tuple(exps), 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -111,11 +124,11 @@ class MPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in descending graded lexicographic order."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
-    def leading(self) -> tuple[Exponents, Fraction]:
+    def leading(self) -> tuple[Exponents, Scalar]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=grlex_key)
@@ -151,11 +164,11 @@ class MPoly:
         self._check(other)
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            s = acc.get(e, Fraction(0)) + c
+            s = acc.get(e, 0) + c
             if s:
                 acc[e] = s
             else:
-                acc.pop(e, None)
+                del acc[e]
         return MPoly._raw(self.nvars, acc)
 
     def __radd__(self, other) -> "MPoly":
@@ -183,16 +196,14 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Scalar] = {}
+        get = acc.get
+        rhs = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return MPoly._raw(self.nvars, acc)
+            for e2, c2 in rhs:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+        return MPoly._raw(self.nvars, {e: c for e, c in acc.items() if c})
 
     def __rmul__(self, other) -> "MPoly":
         return self.__mul__(other)
@@ -210,7 +221,7 @@ class MPoly:
         return result
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "MPoly":
+    def _raw(cls, nvars: int, terms: dict[Exponents, Scalar]) -> "MPoly":
         p = cls.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", terms)
@@ -220,7 +231,7 @@ class MPoly:
     # -- calculus and substitution -----------------------------------
 
     def derivative(self, i: int) -> "MPoly":
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Scalar] = {}
         for e, c in self.terms.items():
             if e[i]:
                 d = list(e)
@@ -238,18 +249,21 @@ class MPoly:
             tgt = replacements[0].nvars
             if any(q.nvars != tgt for q in replacements):
                 raise ValueError("replacements live in different rings")
-        # per-variable power cache
-        powers: list[list[MPoly]] = [[MPoly.const(tgt, 1)] for _ in range(self.nvars)]
-        result = MPoly.zero(tgt)
-        for e, c in self.sorted_terms():
-            term = MPoly.const(tgt, c)
+        # per-variable power cache; the terms are summed in one dict
+        one = MPoly.const(tgt, 1)
+        powers: list[list[MPoly]] = [[one] for _ in range(self.nvars)]
+        acc: dict[Exponents, Scalar] = {}
+        for e, c in self.terms.items():
+            term = one
             for i, k in enumerate(e):
-                cache = powers[i]
-                while len(cache) <= k:
-                    cache.append(cache[-1] * replacements[i])
-                term = term * cache[k]
-            result = result + term
-        return result
+                if k:
+                    cache = powers[i]
+                    while len(cache) <= k:
+                        cache.append(cache[-1] * replacements[i])
+                    term = cache[k] if term is one else term * cache[k]
+            for te, tc in term.terms.items():
+                acc[te] = acc.get(te, 0) + c * tc
+        return MPoly._raw(tgt, {e: c for e, c in acc.items() if c})
 
     def shift(self, offsets: Sequence[Scalar]) -> "MPoly":
         """p(v1 + k1, ..., vn + kn) for scalar offsets k."""
@@ -266,7 +280,7 @@ class MPoly:
             raise ValueError("mapping length mismatch")
         if len(set(mapping)) != len(mapping):
             raise ValueError("mapping must be injective")
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Scalar] = {}
         for e, c in self.terms.items():
             ne = [0] * new_nvars
             for i, k in enumerate(e):
@@ -277,32 +291,44 @@ class MPoly:
     # -- division -----------------------------------------------------
 
     def divide_exact(self, divisor: "MPoly") -> "MPoly | None":
-        """Quotient self/divisor if the division is exact, else None."""
+        """Quotient self/divisor if the division is exact, else None.
+
+        The remainder is walked in descending graded lex order through a
+        heap: every term the division creates lies below the one being
+        cancelled, so each pop is the remainder's leading term.
+        """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return MPoly.zero(self.nvars)
         lead_e, lead_c = divisor.leading()
+        if any(map(lt, max(self.terms, key=grlex_key), lead_e)):
+            return None
         rem = dict(self.terms)
-        quo: dict[Exponents, Fraction] = {}
+        # max-heap on graded lex: smallest (-degree, -exponents) first
+        heap = [(-sum(e), tuple(map(neg, e))) for e in rem]
+        heapq.heapify(heap)
+        quo: dict[Exponents, Scalar] = {}
         div_rest = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
-        while rem:
-            e = max(rem, key=grlex_key)
+        while heap:
+            e = tuple(map(neg, heapq.heappop(heap)[1]))
             c = rem.pop(e)
-            qe = tuple(a - b for a, b in zip(e, lead_e))
-            if any(x < 0 for x in qe):
+            if not c:  # cancelled after it was queued
+                continue
+            if any(map(lt, e, lead_e)):
                 return None
-            qc = c / lead_c
-            quo[qe] = quo.get(qe, Fraction(0)) + qc
+            qe = tuple(map(sub, e, lead_e))
+            qc = quo[qe] = _div(c, lead_c)
             for de, dc in div_rest:
-                te = tuple(a + b for a, b in zip(qe, de))
-                s = rem.get(te, Fraction(0)) - qc * dc
-                if s:
-                    rem[te] = s
+                te = tuple(map(add, qe, de))
+                old = rem.get(te)
+                if old is None:
+                    rem[te] = -qc * dc
+                    heapq.heappush(heap, (-sum(te), tuple(map(neg, te))))
                 else:
-                    rem.pop(te, None)
-        return MPoly._raw(self.nvars, {e: c for e, c in quo.items() if c})
+                    rem[te] = old - qc * dc
+        return MPoly._raw(self.nvars, quo)
 
     def top_form(self) -> "MPoly":
         """Homogeneous part of highest total degree."""
@@ -346,6 +372,11 @@ def format_poly(p: MPoly, names: Sequence[str]) -> str:
         else:
             chunks.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(chunks)
+
+
+def _is_digit(ch: str) -> bool:
+    """ASCII 0-9 only: str.isdigit also accepts '²', which int() rejects."""
+    return "0" <= ch <= "9"
 
 
 class PolyParseError(ValueError):
@@ -414,7 +445,7 @@ class _Parser:
                 q = self.unary()
                 if not q.is_constant() or q.is_zero():
                     raise self.error("division only by nonzero constants")
-                p = p * (1 / q.constant_value())
+                p = p * Fraction(1, q.constant_value())
             else:
                 return p
 
@@ -433,11 +464,14 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if start == self.pos:
             raise self.error("expected integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # more digits than int() converts
+            raise self.error("integer has too many digits") from exc
 
     def atom(self) -> MPoly:
         ch = self.peek()
@@ -447,7 +481,7 @@ class _Parser:
             if not self.take(")"):
                 raise self.error("expected ')'")
             return p
-        if ch.isdigit():
+        if _is_digit(ch):
             return MPoly.const(self.nvars, self.integer())
         if ch.isalpha() or ch == "_":
             start = self.pos

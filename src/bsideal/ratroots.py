@@ -100,7 +100,7 @@ def rational_roots(coeffs: Sequence[Fraction | int]) -> list[Fraction]:
     Roots are reported without multiplicity.  The zero polynomial is
     rejected.
     """
-    cs = [Fraction(c) for c in coeffs]
+    cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
@@ -108,13 +108,9 @@ def rational_roots(coeffs: Sequence[Fraction | int]) -> list[Fraction]:
     if len(cs) == 1:
         return []
     # clear denominators and content
-    lcm = 1
-    for c in cs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ics = [int(c * lcm) for c in cs]
-    g = 0
-    for c in ics:
-        g = math.gcd(g, c)
+    lcm = math.lcm(*(c.denominator for c in cs))
+    ics = [c.numerator * (lcm // c.denominator) for c in cs]
+    g = math.gcd(*ics)
     ics = [c // g for c in ics]
 
     roots: list[Fraction] = []
@@ -128,11 +124,13 @@ def rational_roots(coeffs: Sequence[Fraction | int]) -> list[Fraction]:
     if len(ics) == 1:
         return sorted(roots)
 
-    def value(x: Fraction) -> Fraction:
-        acc = Fraction(0)
+    def is_root(u: int, v: int) -> bool:
+        # v^deg * q(u/v), by Horner in integers
+        acc, vk = 0, 1
         for c in reversed(ics):
-            acc = acc * x + c
-        return acc
+            acc = acc * u + c * vk
+            vk *= v
+        return acc == 0
 
     q1 = sum(ics)
     qm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ics))
@@ -155,7 +153,6 @@ def rational_roots(coeffs: Sequence[Fraction | int]) -> list[Fraction]:
                     continue
                 if qm1 != 0 and (su + v == 0 or qm1 % (su + v) != 0):
                     continue
-                x = Fraction(su, v)
-                if value(x) == 0:
-                    roots.append(x)
+                if is_root(su, v):
+                    roots.append(Fraction(su, v))
     return sorted(set(roots))

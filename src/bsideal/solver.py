@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Sequence
 
 from . import linalg
-from .polynomials import MPoly, format_poly, grlex_key, iter_monomials
+from .polynomials import MPoly, Scalar, format_poly, grlex_key, iter_monomials
 from .weyl import (
     GermContext,
     GermElement,
@@ -141,7 +140,7 @@ def cell_cap() -> int:
     return cap
 
 
-def _shifted(poly: MPoly, shift: Exps) -> Iterable[tuple[Exps, Fraction]]:
+def _shifted(poly: MPoly, shift: Exps) -> Iterable[tuple[Exps, Scalar]]:
     """Terms of poly times the monomial whose exponents are shift."""
     for mono, c in poly.terms.items():
         yield tuple(map(add, mono, shift)), c
@@ -227,7 +226,7 @@ def find_bs_pair(
     # Column (beta, alpha, sigma) is germs[beta] brought to the common
     # denominator f^M, times x^alpha s^sigma: one product per beta, then
     # exponent shifts.  Column U + t is -f^(M - a) s^taus[t].
-    rows: dict[Exps, dict[int, Fraction]] = {}
+    rows: dict[Exps, dict[int, Scalar]] = {}
     col = 0
     for beta, kept in graded:
         g = germs[beta]

@@ -156,6 +156,19 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     assert "parse-error" in err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"id": "\xe9"}', b'{"id": "big", "a": [' + b"1" * 5000 + b"]}"],
+    ids=["not-utf8", "long-int"],
+)
+def test_undecodable_file_is_usage_error(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, _, err = run(["run", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert "parse-error" in err
+
+
 def test_no_inputs_is_usage_error(capsys):
     code, _, err = run(["run"], capsys)
     assert code == EXIT_USAGE
@@ -204,6 +217,10 @@ def test_no_inputs_is_usage_error(capsys):
          "resolution_graph": {"r": 2, "components": [{"L": [0, 1]}]}},
         {**PAIR, "tasks": ["exp-compare"],
          "resolution_graph": {"r": 2, "components": [{"L": [0, 1]}]}},
+        # digits are ASCII 0-9: str.isdigit accepts these, int() does not
+        {"F": ["x + ²"]},
+        {"F": ["x^²"]},
+        {"F": ["x + " + "1" * 5000]},
     ],
 )
 def test_invalid_entries_are_usage_errors(tmp_path, capsys, overrides):
