@@ -30,12 +30,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Any, Sequence
 
 from .hyperplanes import Hyperplane, HyperplaneVerdict, extract_hyperplanes, structure_report
 from .polynomials import (
-    MPoly,
     PolyParseError,
     format_poly,
     parse_poly,
@@ -54,7 +52,7 @@ from .snc import (
     support_loci,
 )
 from .solver import (
-    InvertibleTwistError,
+    BSCertificate,
     SolveBounds,
     SolveCapExceeded,
     cell_cap,
@@ -101,7 +99,7 @@ class ProblemSpec:
             raise SpecError(f"{where}: entry must be a JSON object")
         self.id = data.get("id")
         if not isinstance(self.id, str) or not self.id or any(
-            not (c.isalnum() or c in "_-") for c in self.id
+            not (c.isascii() and c.isalnum() or c in "_-") for c in self.id
         ):
             raise SpecError(f"{where}: 'id' must be a [A-Za-z0-9_-]+ string")
         where = f"{where}[{self.id}]"
@@ -232,6 +230,8 @@ def load_specs(paths: Sequence[str]) -> list[ProblemSpec]:
             raise SpecError(f"{path}: cannot read: {exc}") from exc
         except ValueError as exc:  # bad JSON, not UTF-8, or an over-long integer
             raise SpecError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise SpecError(f"{path}: invalid JSON: nested too deeply") from exc
         entries = data if isinstance(data, list) else [data]
         for entry in entries:
             spec = ProblemSpec(entry, os.path.basename(path))
@@ -282,15 +282,16 @@ def _cosets_json(cosets) -> list[dict]:
 
 
 class EntryRunner:
-    """Executes one entry's tasks; memoizes solver runs per twist vector."""
+    """Executes one entry's tasks; memoizes one solve per twist vector."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        self._samples: dict[tuple[int, ...], list] = {}
+        self._certs: dict[tuple[int, ...], tuple] = {}
         self._loci: dict[tuple[int, ...], tuple] = {}
 
-    def samples(self, a: tuple[int, ...]):
-        if a not in self._samples:
+    def certificate(self, a: tuple[int, ...]) -> tuple[str, BSCertificate]:
+        """(strategy name, canonical certificate) for twist a."""
+        if a not in self._certs:
             try:
                 found = sample_ideal(self.spec.ctx, a, self.spec.bounds)
             except SolveCapExceeded as exc:
@@ -299,29 +300,20 @@ class EntryRunner:
                 raise NoSolutionError(
                     f"no operator within bounds for a={list(a)}"
                 )
-            self._samples[a] = found
-        return self._samples[a]
+            (self._certs[a],) = found
+        return self._certs[a]
 
     def ideal_hyperplanes(self, a: tuple[int, ...]):
-        """Min-multiplicity intersection of the sampled elements' linear
-        factors; an over-approximation of the codimension-one zero locus
-        that is exact when the minimal sample generates."""
-        common: dict[Hyperplane, int] | None = None
-        residual = False
-        for _, cert in self.samples(a):
-            pairs, rem = extract_hyperplanes(cert.b)
-            counts = dict(pairs)
-            if common is None:
-                common = counts
-            else:
-                common = {
-                    h: min(m, common[h]) for h, m in counts.items() if h in common
-                }
-            if rem.total_degree() > 0:
-                residual = True
-        assert common is not None
-        hyps = sorted(common, key=Hyperplane.sort_key)
-        return hyps, common, residual
+        """The canonical b's linear factors for twist a, sorted, their
+        multiplicities, and whether a nonconstant factor is left over.
+
+        Z(B_F^a) lies in Z(b), so these hyperplanes over-approximate its
+        codimension-one part; they are exact when b generates B_F^a."""
+        _, cert = self.certificate(a)
+        pairs, rem = extract_hyperplanes(cert.b)
+        mult = dict(pairs)
+        hyps = sorted(mult, key=Hyperplane.sort_key)
+        return hyps, mult, rem.total_degree() > 0
 
     def exp_set(self, a: tuple[int, ...]) -> set[TorusCoset]:
         hyps, _, _ = self.ideal_hyperplanes(a)
@@ -335,31 +327,20 @@ class EntryRunner:
     # task implementations -------------------------------------------------
 
     def task_bs_find(self) -> dict:
-        found = self.samples(self.spec.a)
-        certs = []
-        for name, cert in found:
-            d = cert.to_json_dict()
-            d["strategy"] = name
-            d["order"] = cert.P.order()
-            certs.append(d)
-        return {
-            "certificates": certs,
-            "canonical_b": certs[0]["b"],
-            "ok": True,
-        }
+        name, cert = self.certificate(self.spec.a)
+        d = cert.to_json_dict()
+        d["strategy"] = name
+        d["order"] = cert.P.order()
+        return {"certificates": [d], "canonical_b": d["b"], "ok": True}
 
     def task_bs_verify(self) -> dict:
-        verdicts = []
-        for name, cert in self.samples(self.spec.a):
-            verdicts.append(
-                {
-                    "strategy": name,
-                    "b": format_poly(cert.b, s_names(self.spec.r)),
-                    "verified": verify(cert),
-                }
-            )
-        ok = all(v["verified"] for v in verdicts)
-        return {"verdicts": verdicts, "ok": ok}
+        name, cert = self.certificate(self.spec.a)
+        verdict = {
+            "strategy": name,
+            "b": format_poly(cert.b, s_names(self.spec.r)),
+            "verified": verify(cert),
+        }
+        return {"verdicts": [verdict], "ok": verdict["verified"]}
 
     def task_decompose(self) -> dict:
         hyps, mult, residual = self.ideal_hyperplanes(self.spec.a)
@@ -456,9 +437,7 @@ class EntryRunner:
             pooled |= exp
             row = {
                 "axis": i + 1,
-                "canonical_b": format_poly(
-                    self.samples(e)[0][1].b, s_names(spec.r)
-                ),
+                "canonical_b": format_poly(self.certificate(e)[1].b, s_names(spec.r)),
                 "exp": _cosets_json(exp),
             }
             per_axis.append(row)

@@ -499,7 +499,10 @@ class _Parser:
 
 
 def parse_poly(text: str, names: Sequence[str]) -> MPoly:
-    return _Parser(text, names).parse()
+    try:
+        return _Parser(text, names).parse()
+    except RecursionError as exc:  # the parser recurses once per nesting level
+        raise PolyParseError(f"expression nested too deeply in {text[:40]!r}...") from exc
 
 
 def s_names(r: int) -> list[str]:

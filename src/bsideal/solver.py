@@ -147,36 +147,18 @@ def _shifted(poly: MPoly, shift: Exps) -> Iterable[tuple[Exps, Scalar]]:
 
 
 def find_bs_pair(
-    ctx: GermContext,
-    a: Sequence[int],
-    bounds: SolveBounds,
-    d_support: Iterable[Exps] | None = None,
-    *,
-    _germs: dict[Exps, GermElement] | None = None,
+    ctx: GermContext, a: Sequence[int], bounds: SolveBounds
 ) -> BSCertificate | None:
-    """Minimal certificate within the bounded ansatz, or None.
+    """The canonical certificate of the bounded ansatz for twist a, or None.
 
-    d_support restricts which d-monomials the operator may use (defaults to
-    every monomial of order up to the bound); it is how sampling strategies
-    differ.  Every returned certificate has monic b and passes `verify`.
-    `sample_ideal` passes one beta -> germ table for the twist a to all of
-    its strategies through _germs, so each derivative is taken once.
+    The operator may use every d-monomial of order up to the bound.  The
+    returned certificate has monic b and passes `verify`; None means no b
+    within the bounds has a certificate.
     """
     a = _validate_twist(ctx, a)
     n, r = ctx.n, ctx.r
 
-    if d_support is None:
-        betas = list(iter_monomials(n, bounds.max_operator_order))
-    else:
-        betas = sorted(
-            {tuple(b) for b in d_support if sum(b) <= bounds.max_operator_order},
-            key=grlex_key,
-        )
-        if (0,) * n not in betas:
-            betas.insert(0, (0,) * n)
-
-    germs = {} if _germs is None else _germs
-    germs.setdefault((0,) * n, GermElement.power(ctx, a))
+    germs = {(0,) * n: GermElement.power(ctx, a)}
 
     def germ_for(beta: Exps) -> GermElement:
         g = germs.get(beta)
@@ -206,7 +188,7 @@ def find_bs_pair(
         by_weight.setdefault(ctx.weight(alpha), []).append(alpha)
     graded = [
         (beta, kept)
-        for beta in betas
+        for beta in iter_monomials(n, bounds.max_operator_order)
         if (kept := by_weight.get(tuple(map(sub, ctx.weight(beta), target))))
     ]
     for beta, _ in graded:
@@ -279,42 +261,11 @@ def find_bs_pair(
     return cert
 
 
-# Fixed strategy list for sampling: each entry restricts the d-monomial
-# support of the operator ansatz.  "mixed" allows everything up to the
-# order bound, "axis-j" only powers of one derivative, "balanced" only
-# products with equal exponents.
-def _strategies(n: int, order: int) -> list[tuple[str, list[Exps] | None]]:
-    out: list[tuple[str, list[Exps] | None]] = [("mixed", None)]
-    for j in range(n):
-        support = [
-            tuple(k if i == j else 0 for i in range(n)) for k in range(order + 1)
-        ]
-        out.append((f"axis-{j + 1}", support))
-    if n > 1:
-        support = [(t,) * n for t in range(order // n + 1)]
-        out.append(("balanced", support))
-    return out
-
-
 def sample_ideal(
     ctx: GermContext, a: Sequence[int], bounds: SolveBounds
 ) -> list[tuple[str, BSCertificate]]:
-    """Certificates from every strategy that finds one, deduplicated by b.
-
-    Sorted by (degree of b, canonical order of b); all verified.
-    """
-    a = _validate_twist(ctx, a)
-    found: dict[MPoly, tuple[str, BSCertificate]] = {}
-    # every strategy's d-support lies inside "mixed", which runs first
-    germs: dict[Exps, GermElement] = {}
-    for name, support in _strategies(ctx.n, bounds.max_operator_order):
-        cert = find_bs_pair(ctx, a, bounds, d_support=support, _germs=germs)
-        if cert is None and support is None:
-            # times f^(M_mixed - M_S) each kernel embeds in mixed's: no b anywhere
-            break
-        if cert is None or cert.b in found:
-            continue
-        found[cert.b] = (name, cert)
-    out = list(found.values())
-    out.sort(key=lambda t: t[1].b.order_key())
-    return out
+    """One solve for twist a: [("mixed", cert)] with its canonical
+    certificate, or [] when none lies within the bounds.  The report shows
+    "mixed" as the strategy: the operator may use every d-monomial."""
+    cert = find_bs_pair(ctx, a, bounds)
+    return [] if cert is None else [("mixed", cert)]

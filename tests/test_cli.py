@@ -158,8 +158,13 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "raw",
-    [b'{"id": "\xe9"}', b'{"id": "big", "a": [' + b"1" * 5000 + b"]}"],
-    ids=["not-utf8", "long-int"],
+    [
+        b'{"id": "\xe9"}',
+        b'{"id": "big", "a": [' + b"1" * 5000 + b"]}",
+        # the decoder recurses once per level
+        b"[" * 1000 + b"]" * 1000,
+    ],
+    ids=["not-utf8", "long-int", "deep-nesting"],
 )
 def test_undecodable_file_is_usage_error(tmp_path, capsys, raw):
     path = tmp_path / "bad.json"
@@ -221,6 +226,11 @@ def test_no_inputs_is_usage_error(capsys):
         {"F": ["x + ²"]},
         {"F": ["x^²"]},
         {"F": ["x + " + "1" * 5000]},
+        # the parser recurses once per level
+        {"F": ["(" * 500 + "x" + ")" * 500]},
+        # ids are ASCII: str.isalnum also accepts these
+        {"id": "x²"},
+        {"id": "é"},
     ],
 )
 def test_invalid_entries_are_usage_errors(tmp_path, capsys, overrides):

@@ -124,7 +124,8 @@ def test_parse_format_roundtrip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("x +", "x ** 2", "x^-1", "z", "x / y", "(x", "x^1.5", ""):
+    deep = ("(" * 500 + "x" + ")" * 500, "-" * 2000 + "x")
+    for bad in ("x +", "x ** 2", "x^-1", "z", "x / y", "(x", "x^1.5", "", *deep):
         with pytest.raises(PolyParseError):
             parse_poly(bad, ["x", "y"])
 

@@ -11,7 +11,8 @@ import pytest
 
 from bsideal import linalg, solver
 from bsideal.cli import corpus_paths, load_specs
-from bsideal.polynomials import MPoly, grlex_key, iter_monomials, parse_poly, s_names
+from bsideal.hyperplanes import Hyperplane, extract_hyperplanes
+from bsideal.polynomials import MPoly, format_poly, grlex_key, iter_monomials, parse_poly, s_names
 from bsideal.solver import (
     BSCertificate,
     InvertibleTwistError,
@@ -97,38 +98,12 @@ def test_no_solution_within_bounds():
     assert find_bs_pair(ctx, (2,), SolveBounds(1, 0, 0, 1)) is None
 
 
-def test_d_support_restriction():
-    ctx = make_ctx(["x", "y"], ["x", "y"])
-    cert = find_bs_pair(ctx, (1, 1), SolveBounds(2, 0, 0, 2), d_support=[(1, 1)])
-    assert cert is not None
-    assert cert.b == sp("(s1 + 1)*(s2 + 1)", r=2)
-    # a support that cannot reach the target twist finds nothing
-    assert find_bs_pair(ctx, (1, 1), SolveBounds(2, 0, 0, 2), d_support=[(2, 0)]) is None
-
-
 def test_verify_rejects_tampered_certificate():
     ctx = make_ctx(["x"], ["x"])
     cert = find_bs_pair(ctx, (1,), SolveBounds(1, 0, 0, 1))
     bad = BSCertificate(cert.ctx, cert.a, cert.b + MPoly.const(1, 1), cert.P)
     assert verify(cert)
     assert not verify(bad)
-
-
-def test_sample_ideal_strategies_and_dedup():
-    ctx = make_ctx(["x", "y"], ["x", "x*y"])
-    found = sample_ideal(ctx, (0, 1), SolveBounds(2, 0, 0, 2))
-    assert [name for name, _ in found] == ["mixed"]
-    assert found[0][1].b == sp("(s2 + 1)*(s1 + s2 + 1)", r=2)
-    for _, cert in found:
-        assert verify(cert)
-
-
-def test_sample_ideal_sorted_by_b():
-    ctx = make_ctx(["x", "y"], ["x", "y"])
-    found = sample_ideal(ctx, (1, 0), SolveBounds(2, 0, 0, 2))
-    bs = [cert.b for _, cert in found]
-    assert bs == sorted(bs, key=lambda p: p.order_key())
-    assert bs[0] == sp("s1 + 1", r=2)
 
 
 def test_invertible_twist_rejected():
@@ -146,7 +121,7 @@ def test_twist_validation():
 
 
 # Certificates and the (rows, columns, nonzeros) of every system handed to
-# linalg.nullspace, one per strategy.  The certificates were recorded from a
+# linalg.nullspace.  The certificates were recorded from a
 # solver that multiplied whole polynomials per column, eliminated the whole
 # system and recovered P by a second elimination, so they pin P against how
 # it is computed; the sizes are those of the weight-graded piece that holds
@@ -163,7 +138,7 @@ PINNED = [
             "b": "s^3 + 3*s^2 + 107/36*s + 35/36",
             "P": "1/12*y*dx^2*dy + 1/27*dy^3 + (1/4*s + 3/8)*dx^2",
         },
-        [(18, 16, 93), (15, 10, 51), (15, 7, 39), (4, 4, 4)],
+        [(18, 16, 93)],
     ),
     (
         "x^3 + y^3",
@@ -175,7 +150,7 @@ PINNED = [
             "P": "2/81*y*dx^3*dy + (-2/81)*y*dy^4 + (1/27*s + 2/27)*dx^3 "
             "+ (1/9*s + 2/27)*dy^3",
         },
-        [(74, 61, 540), (44, 17, 144), (44, 17, 144), (58, 13, 100)],
+        [(74, 61, 540)],
     ),
 ]
 
@@ -199,9 +174,8 @@ def test_pinned_certificates_and_system_sizes(monkeypatch, f, box, want, sizes):
     assert seen == sizes
 
 
-def test_sample_ideal_stops_when_mixed_finds_nothing(monkeypatch):
-    # below deg b_f = 3 no strategy can certify; the restricted strategies'
-    # systems are never built once the unrestricted one comes back empty
+def test_sample_ideal_solves_once_per_twist(monkeypatch):
+    # one system per twist, whether or not its kernel holds a b
     calls = []
     nullspace = linalg.nullspace
 
@@ -210,9 +184,16 @@ def test_sample_ideal_stops_when_mixed_finds_nothing(monkeypatch):
         return nullspace(rows, ncols)
 
     monkeypatch.setattr(linalg, "nullspace", spy)
+    ctx = make_ctx(["x", "y"], ["x", "x*y"])
+    found = sample_ideal(ctx, (0, 1), SolveBounds(2, 0, 0, 2))
+    assert [name for name, _ in found] == ["mixed"]
+    assert found[0][1].b == sp("(s2 + 1)*(s1 + s2 + 1)", r=2)
+    assert verify(found[0][1])
+    assert len(calls) == 1
+    # below deg b_f = 3 for the cusp nothing certifies
     ctx = make_ctx(["x", "y"], ["x^2 + y^3"])
     assert sample_ideal(ctx, (1,), SolveBounds(3, 3, 2, 2)) == []
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_sample_ideal_takes_each_germ_derivative_once(monkeypatch):
@@ -230,7 +211,7 @@ def test_sample_ideal_takes_each_germ_derivative_once(monkeypatch):
     assert len(calls) == 14
 
 
-def full_system(ctx, a, bounds, d_support=None):
+def full_system(ctx, a, bounds):
     """The whole bounded system: every column assembled, none graded away.
 
     Returns (ucols, taus, rows): operator columns (beta, alpha, sigma) come
@@ -239,13 +220,7 @@ def full_system(ctx, a, bounds, d_support=None):
     graded lex.
     """
     n, r = ctx.n, ctx.r
-    order = bounds.max_operator_order
-    if d_support is None:
-        betas = list(iter_monomials(n, order))
-    else:
-        betas = sorted({tuple(b) for b in d_support if sum(b) <= order}, key=grlex_key)
-        if (0,) * n not in betas:
-            betas.insert(0, (0,) * n)
+    betas = list(iter_monomials(n, bounds.max_operator_order))
     germs = {}
     for beta in betas:
         g = GermElement.power(ctx, a)
@@ -286,7 +261,7 @@ def operator(ctx, ucols, u):
     return WeylOperator(ctx.n, ctx.r, terms)
 
 
-def full_system_certificate(ctx, a, bounds, d_support=None):
+def full_system_certificate(ctx, a, bounds):
     """(b, P) of the whole system, read from its kernel basis in two ways.
 
     One-vector reading: the first basis vector whose free column is a b
@@ -296,7 +271,7 @@ def full_system_certificate(ctx, a, bounds, d_support=None):
     the operator part of sum vstar[f] * vec over the vectors with b column
     f as free column.  The two must agree; returns their (b, P), or None.
     """
-    ucols, taus, rows = full_system(ctx, a, bounds, d_support)
+    ucols, taus, rows = full_system(ctx, a, bounds)
     U, T = len(ucols), len(taus)
     basis = linalg.nullspace(rows, U + T)
     b_vectors = [vec for vec in basis if max(vec) >= U]
@@ -323,20 +298,13 @@ def full_system_certificate(ctx, a, bounds, d_support=None):
     return b, P
 
 
-def test_certificate_matches_two_step_oracle(monkeypatch):
-    # the oracle eliminates the whole system and reads (b, P) two ways, the
-    # solver only the weight-graded piece of the b columns: all must agree
-    compared = []
-    find = solver.find_bs_pair
+# W = {0}: the grading keeps every column
+UNGRADED = ["x^2 + y^3 + x^2*y^2"]
 
-    def spy_find(ctx, a, bounds, d_support=None, **kwargs):
-        cert = find(ctx, a, bounds, d_support, **kwargs)
-        want = full_system_certificate(ctx, a, bounds, d_support)
-        assert (None if cert is None else (cert.b, cert.P)) == want
-        compared.append(cert is not None)
-        return cert
 
-    monkeypatch.setattr(solver, "find_bs_pair", spy_find)
+def oracle_problems():
+    """(ctx, a, bounds) of every corpus entry plus hand-picked boxes, each
+    of which certifies."""
     problems = [(spec.ctx, spec.a, spec.bounds) for spec in load_specs(corpus_paths())]
     problems.append((make_ctx(["x", "y", "z"], ["x*y", "y*z"]), (1, 2), SolveBounds(6, 0, 0, 6)))
     # boxes with slack, whose kernels hold several vectors with a b-part
@@ -344,16 +312,64 @@ def test_certificate_matches_two_step_oracle(monkeypatch):
     problems.append((make_ctx(["x", "y"], ["x^2 + y^3"]), (1,), SolveBounds(3, 3, 2, 4)))
     # a weight with a negative entry: W is spanned by (-1, 1)
     problems.append((make_ctx(["x", "y"], ["x*y + 1"]), (1,), SolveBounds(2, 1, 1, 2)))
-    # W = {0}: the grading keeps every column
-    ungraded = make_ctx(["x", "y"], ["x^2 + y^3 + x^2*y^2"])
-    assert ungraded.weights == ()
+    problems.append((make_ctx(["x", "y"], UNGRADED), (1,), SolveBounds(3, 3, 3, 4)))
+    return problems
+
+
+def test_certificate_matches_two_step_oracle(monkeypatch):
+    # the oracle eliminates the whole system and reads (b, P) two ways, the
+    # solver only the weight-graded piece of the b columns: all must agree
+    compared = []
+    find = solver.find_bs_pair
+
+    def spy_find(ctx, a, bounds):
+        cert = find(ctx, a, bounds)
+        want = full_system_certificate(ctx, a, bounds)
+        assert (None if cert is None else (cert.b, cert.P)) == want
+        compared.append(cert is not None)
+        return cert
+
+    monkeypatch.setattr(solver, "find_bs_pair", spy_find)
+    problems = oracle_problems()
     for ctx, a, bounds in problems:
         assert sample_ideal(ctx, a, bounds)
-    assert sum(compared) >= len(problems)
-    compared.clear()
+    assert compared == [True] * len(problems)
+    ungraded = make_ctx(["x", "y"], UNGRADED)
+    assert ungraded.weights == ()
     assert sample_ideal(ungraded, (1,), SolveBounds(3, 3, 2, 3)) == []
-    assert sample_ideal(ungraded, (1,), SolveBounds(3, 3, 3, 4))
-    assert compared[:2] == [False, True]
+    assert compared[-1] is False
+
+
+def test_linear_factors_match_sympy():
+    # an independent factorization over Q of every canonical b: its linear
+    # factors with nonnegative slopes are the hyperplanes, anything else
+    # nonconstant is the remainder that extract_hyperplanes leaves; the last
+    # two polynomials have such a remainder, which no canonical b here has
+    sympy = pytest.importorskip("sympy")
+    polys = [find_bs_pair(ctx, a, bounds).b for ctx, a, bounds in oracle_problems()]
+    polys += [sp("(s1 - s2 + 1)*(s1 + s2 + 2)^2", r=2), sp("(s^2 + 1)*(3*s + 1)")]
+    for b in polys:
+        syms = sympy.symbols(s_names(b.nvars))
+        expr = sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(x**e for x, e in zip(syms, mono)))
+            for mono, c in b.terms.items()
+        )
+        want, residual = {}, False
+        for factor, mult in sympy.factor_list(expr, *syms)[1]:
+            poly = sympy.Poly(factor, *syms)
+            if poly.total_degree() == 1:
+                normal = [poly.coeff_monomial(x) for x in syms]
+                coeffs = [Fraction(int(c.p), int(c.q)) for c in normal + [poly.coeff_monomial(1)]]
+                h = Hyperplane.canonical(coeffs[:-1], coeffs[-1])
+                if min(h.normal) >= 0:
+                    want[h] = want.get(h, 0) + mult
+                    continue
+            residual = True
+        pairs, rem = extract_hyperplanes(b)
+        assert dict(pairs) == want, format_poly(b, s_names(b.nvars))
+        assert (rem.total_degree() > 0) == residual
+    assert residual
 
 
 def b_block_columns(ncols, U, rows):
