@@ -174,8 +174,7 @@ def test_pinned_certificates_and_system_sizes(monkeypatch, f, box, want, sizes):
     assert seen == sizes
 
 
-def test_sample_ideal_solves_once_per_twist(monkeypatch):
-    # one system per twist, whether or not its kernel holds a b
+def spy_nullspace(monkeypatch):
     calls = []
     nullspace = linalg.nullspace
 
@@ -184,16 +183,26 @@ def test_sample_ideal_solves_once_per_twist(monkeypatch):
         return nullspace(rows, ncols)
 
     monkeypatch.setattr(linalg, "nullspace", spy)
+    return calls
+
+
+def test_sample_ideal_strategies_and_dedup(monkeypatch):
+    # one system per twist and one certificate from it
+    calls = spy_nullspace(monkeypatch)
     ctx = make_ctx(["x", "y"], ["x", "x*y"])
     found = sample_ideal(ctx, (0, 1), SolveBounds(2, 0, 0, 2))
     assert [name for name, _ in found] == ["mixed"]
     assert found[0][1].b == sp("(s2 + 1)*(s1 + s2 + 1)", r=2)
     assert verify(found[0][1])
     assert len(calls) == 1
-    # below deg b_f = 3 for the cusp nothing certifies
+
+
+def test_sample_ideal_stops_when_mixed_finds_nothing(monkeypatch):
+    # below deg b_f = 3 nothing certifies, and the one system is all that is built
+    calls = spy_nullspace(monkeypatch)
     ctx = make_ctx(["x", "y"], ["x^2 + y^3"])
     assert sample_ideal(ctx, (1,), SolveBounds(3, 3, 2, 2)) == []
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_sample_ideal_takes_each_germ_derivative_once(monkeypatch):
