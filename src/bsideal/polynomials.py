@@ -134,10 +134,6 @@ class MPoly:
         e = max(self.terms, key=grlex_key)
         return e, self.terms[e]
 
-    def order_key(self) -> tuple:
-        """Deterministic sort key: degree, then the sorted term list."""
-        return (self.total_degree(), self.sorted_terms())
-
     # -- ring operations ---------------------------------------------
 
     def _check(self, other: "MPoly") -> None:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .hyperplanes import linear_form
-from .polynomials import MPoly, format_poly, grlex_key
+from .polynomials import MPoly, format_poly, grlex_key, s_names
 from .solver import BSCertificate
 from .weyl import GermContext, WeylOperator
 
@@ -196,7 +196,6 @@ def snc_certificate(
     exponents: Sequence[Sequence[int]],
     a: Sequence[int],
     x_names: Sequence[str] | None = None,
-    s_vars: Sequence[str] | None = None,
 ) -> BSCertificate:
     """Closed-form certificate for a pure monomial collection.
 
@@ -204,8 +203,6 @@ def snc_certificate(
     operator prod_k d_k^(c_k) applied to f^(s+a) produces exactly the
     graph b-element times f^s; the returned certificate carries that pair.
     """
-    from .polynomials import s_names as _s_names
-
     graph = graph_from_exponents(exponents)
     a = tuple(a)
     b = snc_b_element(graph, a)  # raises on empty support
@@ -213,12 +210,11 @@ def snc_certificate(
     r = len(exponents)
     n = len(exponents[0])
     xn = list(x_names) if x_names is not None else default_x_names(n)
-    sn = list(s_vars) if s_vars is not None else _s_names(r)
     F = [
         MPoly.monomial(n, tuple(int(e) for e in row))
         for row in exponents
     ]
-    ctx = GermContext(xn, sn, F)
+    ctx = GermContext(xn, s_names(r), F)
     beta = tuple(
         sum(a[j] * int(exponents[j][k]) for j in range(r)) for k in range(n)
     )

@@ -5,14 +5,17 @@ import os
 
 import pytest
 
+from bsideal import cli, solver
 from bsideal.cli import (
     EXIT_BOUNDS,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    EntryRunner,
     canonical_json,
     corpus_paths,
     golden_dir,
+    load_specs,
     main,
 )
 
@@ -146,6 +149,18 @@ def test_golden_missing_fails(tmp_path, capsys):
     path = write_entry(tmp_path)
     code, out, _ = run(["run", path, "--check-golden", str(tmp_path)], capsys)
     assert code == EXIT_CHECK_FAILED
+
+
+def test_write_golden_to_a_file_is_usage_error(tmp_path, capsys):
+    path = write_entry(tmp_path)
+    blocker = tmp_path / "golden"
+    blocker.write_text("not a directory")
+    code, out, err = run(["run", path, "--write-golden", str(blocker)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: cannot write goldens: ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
 
 
 def test_malformed_json_is_usage_error(tmp_path, capsys):
@@ -349,3 +364,27 @@ def test_golden_dir_is_bundled(capsys):
     names = sorted(os.listdir(golden_dir()))
     assert len(names) == 9
     assert all(n.endswith(".golden.json") for n in names)
+
+
+def test_each_twist_solved_checked_factored_once(monkeypatch):
+    # x_xy_a11 runs every task over the twists (1,1), (1,0) and (0,1); its
+    # monomial F also gets a closed-form certificate and an snc b-element
+    calls = {"verify": 0, "extract": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    verify = counting("verify", solver.verify)
+    monkeypatch.setattr(solver, "verify", verify)
+    monkeypatch.setattr(cli, "verify", verify)
+    monkeypatch.setattr(
+        cli, "extract_hyperplanes", counting("extract", cli.extract_hyperplanes)
+    )
+    (spec,) = load_specs([corpus_file("x_xy_a11")])
+    entry = EntryRunner(spec).run()
+    assert entry["ok"] is True
+    assert entry["tasks"] == list(cli.TASKS)
+    assert calls == {"verify": 4, "extract": 4}
