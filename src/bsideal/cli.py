@@ -55,7 +55,6 @@ from .solver import (
     BSCertificate,
     SolveBounds,
     SolveCapExceeded,
-    cell_cap,
     sample_ideal,
     verify,
 )
@@ -604,9 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the bundled example corpus",
     )
-    fmt = run.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit the JSON report")
-    fmt.add_argument("--text", action="store_true", help="emit the text report (default)")
+    run.add_argument("--json", action="store_true", help="emit the JSON report instead of text")
     run.add_argument(
         "--check-golden",
         nargs="?",
@@ -624,15 +621,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(entries: list[dict]) -> int:
+    """3 if any entry exhausted its bounds, else 1 if any failed, else 0."""
+    if any(e.get("error") == "no-solution-within-bounds" for e in entries):
+        return EXIT_BOUNDS
+    return EXIT_OK if all(e["ok"] for e in entries) else EXIT_CHECK_FAILED
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    try:
-        cell_cap()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     try:
         paths = list(args.specs)
@@ -646,13 +644,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
 
     specs.sort(key=lambda s: s.id)
-    entries = []
-    bounds_exhausted = False
-    for spec in specs:
-        entry = EntryRunner(spec).run()
-        if entry.get("error") == "no-solution-within-bounds":
-            bounds_exhausted = True
-        entries.append(entry)
+    entries = [EntryRunner(spec).run() for spec in specs]
 
     if args.write_golden is not None:
         try:
@@ -665,7 +657,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: cannot write goldens: {exc}", file=sys.stderr)
             return EXIT_USAGE
         print(f"wrote {len(entries)} golden file(s) to {args.write_golden}")
-        return EXIT_OK
+        failed = [e["id"] for e in entries if not e["ok"]]
+        if failed:
+            print(f"error: goldens written for failing entries: {', '.join(failed)}",
+                  file=sys.stderr)
+        return _exit_code(entries)
 
     if args.check_golden is not None:
         gdir = args.check_golden or golden_dir()
@@ -686,12 +682,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     report = {"entries": entries, "ok": all(e["ok"] for e in entries)}
     out = canonical_json(report) if args.json else render_text(report)
     sys.stdout.write(out)
-
-    if bounds_exhausted:
-        return EXIT_BOUNDS
-    if not report["ok"]:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return _exit_code(entries)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import comb, lcm
 from operator import add, lt, neg, sub
 from typing import Iterator, Mapping, Sequence
 
@@ -375,6 +376,23 @@ def _is_digit(ch: str) -> bool:
     return "0" <= ch <= "9"
 
 
+# The parser refuses a product or power whose result may take more than
+# this many coefficient bits (terms times bits per coefficient, both
+# bounded before multiplying): (x+y+z)^45 fits, (x+y+z)^50 and 9^30000
+# do not.
+_MAX_PARSE_BITS = 100_000
+
+
+def _log_height(p: MPoly) -> int:
+    """ceil(log2 h(p)), where h(p) = D * sum |D c| over the coefficients c
+    of p and D is their common denominator.  Each coefficient's numerator
+    and denominator together take at most this plus 2 bits, and
+    h(pq) <= h(p) h(q)."""
+    cs = p.terms.values()
+    d = lcm(*(c.denominator for c in cs))
+    return (d * sum(abs(c.numerator) * (d // c.denominator) for c in cs) - 1).bit_length()
+
+
 class PolyParseError(ValueError):
     """Raised when an expression cannot be parsed."""
 
@@ -436,7 +454,9 @@ class _Parser:
         p = self.unary()
         while True:
             if self.take("*"):
-                p = p * self.unary()
+                q = self.unary()
+                self.check_size(len(p.terms) * len(q.terms), _log_height(p) + _log_height(q))
+                p = p * q
             elif self.take("/"):
                 q = self.unary()
                 if not q.is_constant() or q.is_zero():
@@ -452,10 +472,18 @@ class _Parser:
 
     def power(self) -> MPoly:
         p = self.atom()
-        if self.take("^"):
-            k = self.integer()
-            return p**k
-        return p
+        if not self.take("^"):
+            return p
+        k = self.integer()
+        n = len(p.terms)
+        # p^k has at most C(n+k-1, k) terms, which is at least k+1 for n > 1
+        terms = 1 if n < 2 else comb(n + k - 1, k) if k < _MAX_PARSE_BITS else k + 1
+        self.check_size(terms, k * _log_height(p))
+        return p**k
+
+    def check_size(self, terms: int, log_height: int) -> None:
+        if terms * (log_height + 2) > _MAX_PARSE_BITS:
+            raise self.error(f"result may exceed {_MAX_PARSE_BITS} coefficient bits")
 
     def integer(self) -> int:
         self.skip_ws()

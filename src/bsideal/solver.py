@@ -34,7 +34,6 @@ system.  The size cap applies to the piece that is eliminated.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -52,8 +51,9 @@ from .weyl import (
 
 Exps = tuple[int, ...]
 
-_CELL_CAP_ENV = "BSIDEAL_MAX_CELLS"
-_DEFAULT_CELL_CAP = 4_000_000
+# The most rows x columns find_bs_pair eliminates; larger systems raise
+# SolveCapExceeded, which the CLI reports as bounds exhausted.
+CELL_CAP = 4_000_000
 
 
 class SolverError(Exception):
@@ -65,7 +65,7 @@ class InvertibleTwistError(SolverError):
 
 
 class SolveCapExceeded(SolverError):
-    """The bounded linear system would exceed the configured size cap."""
+    """The bounded linear system would exceed CELL_CAP."""
 
 
 @dataclass(frozen=True)
@@ -119,25 +119,6 @@ def _validate_twist(ctx: GermContext, a: Sequence[int]) -> tuple[int, ...]:
             "invertible-f^a: the twisted power is a nonzero constant"
         )
     return a
-
-
-def cell_cap() -> int:
-    """The cap on rows x columns of the eliminated system, from BSIDEAL_MAX_CELLS,
-    or the default.
-
-    Raises ValueError when the variable is set to anything but a positive
-    integer.
-    """
-    raw = os.environ.get(_CELL_CAP_ENV, "")
-    if not raw:
-        return _DEFAULT_CELL_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        raise ValueError(f"{_CELL_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _shifted(poly: MPoly, shift: Exps) -> Iterable[tuple[Exps, Scalar]]:
@@ -224,11 +205,9 @@ def find_bs_pair(
             rows.setdefault(mono, {})[col] = c
         col += 1
 
-    cap = cell_cap()
-    if len(rows) * ncols > cap:
+    if len(rows) * ncols > CELL_CAP:
         raise SolveCapExceeded(
-            f"linear system of {len(rows)}x{ncols} exceeds cap {cap} "
-            f"(set {_CELL_CAP_ENV} to raise it)"
+            f"linear system of {len(rows)}x{ncols} exceeds cap {CELL_CAP}"
         )
 
     ordered_rows = [rows[m] for m in sorted(rows, key=grlex_key, reverse=True)]
@@ -245,15 +224,11 @@ def find_bs_pair(
         return None
     b = MPoly(r, {taus[j - U]: c for j, c in vec.items() if j >= U})
 
-    op_terms: dict[tuple[Exps, Exps], MPoly] = {}
+    coeffs: dict[tuple[Exps, Exps], dict[Exps, Scalar]] = {}
     for t, (beta, alpha, sigma) in enumerate(ucols):
-        c = vec.get(t)
-        if not c:
-            continue
-        key = (alpha, beta)
-        add = MPoly.monomial(r, sigma, c)
-        op_terms[key] = op_terms[key] + add if key in op_terms else add
-    P = WeylOperator(n, r, op_terms)
+        if c := vec.get(t):
+            coeffs.setdefault((alpha, beta), {})[sigma] = c
+    P = WeylOperator(n, r, {key: MPoly(r, cs) for key, cs in coeffs.items()})
 
     cert = BSCertificate(ctx, a, b, P)
     if not verify(cert):  # pragma: no cover - solver postcondition

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -149,6 +152,18 @@ def test_golden_missing_fails(tmp_path, capsys):
     path = write_entry(tmp_path)
     code, out, _ = run(["run", path, "--check-golden", str(tmp_path)], capsys)
     assert code == EXIT_CHECK_FAILED
+
+
+def test_write_golden_keeps_the_exit_code(tmp_path, capsys):
+    # x^2 needs b of degree 2: the golden records the exhausted bounds
+    path = write_entry(tmp_path, F=["x^2"], tasks=["bs-find"])
+    gdir = str(tmp_path / "golden")
+    code, out, err = run(["run", path, "--write-golden", gdir], capsys)
+    assert code == EXIT_BOUNDS
+    assert out == f"wrote 1 golden file(s) to {gdir}\n"
+    assert err == "error: goldens written for failing entries: probe\n"
+    golden = json.loads(open(os.path.join(gdir, "probe.golden.json")).read())
+    assert golden["error"] == "no-solution-within-bounds"
 
 
 def test_write_golden_to_a_file_is_usage_error(tmp_path, capsys):
@@ -311,14 +326,29 @@ def test_graph_wrong_rank_rejected(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("raw", ["abc", "-5", "0", "1.5"])
-def test_malformed_cell_cap_is_usage_error(tmp_path, capsys, monkeypatch, raw):
-    monkeypatch.setenv("BSIDEAL_MAX_CELLS", raw)
-    path = write_entry(tmp_path)
-    code, out, err = run(["run", path], capsys)
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err == f"error: BSIDEAL_MAX_CELLS must be a positive integer, got {raw!r}\n"
+@pytest.mark.parametrize(
+    "variables, F",
+    [
+        (["x", "y", "z"], "(x+y+z)^100000"),
+        (["x", "y", "z"], "(x+y+z)^200"),
+        (list("abcdefgh"), "(a+b+c+d+e+f+g+h)^30"),
+    ],
+    ids=["(x+y+z)^100000", "(x+y+z)^200", "8 variables ^30"],
+)
+def test_oversize_expression_is_refused_at_once(tmp_path, variables, F):
+    # in a child process, so that a parser without a limit is stopped
+    path = write_entry(tmp_path, variables=variables, F=[F])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bsideal.cli", "run", path],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert "coefficient bits" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_slope_bound_field_is_unknown(tmp_path, capsys):
@@ -338,6 +368,17 @@ def test_slope_bound_flag_is_rejected(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "unrecognized arguments: --slope-bound 8" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_text_flag_is_rejected(capsys):
+    # text is the default report; the flag that only selected it is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--seed-corpus", "--text"])
+    assert exc.value.code == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --text" in out.err
     assert "Traceback" not in out.err
 
 

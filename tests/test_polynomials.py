@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from bsideal.polynomials import (
     MPoly,
     PolyParseError,
+    _log_height,
     format_poly,
     grlex_key,
     iter_monomials,
@@ -125,9 +127,43 @@ def test_parse_format_roundtrip():
 
 def test_parse_rejects_garbage():
     deep = ("(" * 500 + "x" + ")" * 500, "-" * 2000 + "x")
-    for bad in ("x +", "x ** 2", "x^-1", "z", "x / y", "(x", "x^1.5", "", *deep):
+    # past the parse limit: a power, a product, nested powers
+    huge = ("9^100000", "(x+y)^200 * (x-y)^200", "((x+y)^9)^100")
+    for bad in ("x +", "x ** 2", "x^-1", "z", "x / y", "(x", "x^1.5", "", *deep, *huge):
         with pytest.raises(PolyParseError):
             parse_poly(bad, ["x", "y"])
+
+
+def test_parse_limit_bounds_terms_and_coefficient_bits():
+    # the parse limit must not refuse what it claims to bound: terms and
+    # coefficient bits of p * q and p^k stay within the bounds it computes
+    def bits(c):
+        return c.numerator.bit_length() + c.denominator.bit_length()
+
+    rng = random.Random(10)
+    for _ in range(40):
+        p, q = (
+            MPoly(2, {
+                (rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                for _ in range(rng.randint(1, 5))
+            })
+            for _ in range(2)
+        )
+        for c in p.terms.values():
+            assert bits(c) <= _log_height(p) + 2
+        pq = p * q
+        assert len(pq.terms) <= len(p.terms) * len(q.terms)
+        assert all(bits(c) <= _log_height(p) + _log_height(q) + 2 for c in pq.terms.values())
+        for k in range(5):
+            pk = p**k
+            assert len(p.terms) < 2 or len(pk.terms) <= math.comb(len(p.terms) + k - 1, k)
+            assert all(bits(c) <= k * _log_height(p) + 2 for c in pk.terms.values())
+
+
+def test_parse_limit_spares_single_terms():
+    # one term stays one term, however high the power
+    assert P("x^" + "9" * 100).terms == {(int("9" * 100), 0): 1}
+    assert P("(-x*y)^100001").terms == {(100001, 100001): -1}
 
 
 def test_parse_rational_coefficients():

@@ -490,10 +490,9 @@ def brieskorn_pham_b(p):
     ],
     ids=["x^2+y^5 (5,5,4,5)", "x^2+y^5 (5,8,4,5)", "x^3+y^4 (7,3,3,7)", "x^2+y^2+z^3 (3,2,2,3)"],
 )
-def test_brieskorn_pham_closed_form(monkeypatch, p, box):
-    # under the default cap: the first two boxes' whole systems (2058 x 2211
-    # and 3003 x 4731) exceed it, their graded pieces (50 x 66, 50 x 76) do not
-    monkeypatch.delenv("BSIDEAL_MAX_CELLS", raising=False)
+def test_brieskorn_pham_closed_form(p, box):
+    # under the cap: the first two boxes' whole systems (2058 x 2211 and
+    # 3003 x 4731) exceed it, their graded pieces (50 x 66, 50 x 76) do not
     names = ["x", "y", "z"][: len(p)]
     ctx = make_ctx(names, [" + ".join(f"{v}^{k}" for v, k in zip(names, p))])
     cert = find_bs_pair(ctx, (1,), SolveBounds(*box))
@@ -510,7 +509,7 @@ def test_brieskorn_pham_below_degree_of_b_f():
 
 
 def test_cell_cap(monkeypatch):
-    monkeypatch.setenv("BSIDEAL_MAX_CELLS", "4")
+    monkeypatch.setattr(solver, "CELL_CAP", 4)
     ctx = make_ctx(["x"], ["x"])
     with pytest.raises(SolveCapExceeded):
         find_bs_pair(ctx, (1,), SolveBounds(1, 0, 0, 1))

@@ -1,13 +1,11 @@
 """Fuzzed problem input: polynomials, entries and files each load or are
 rejected with PolyParseError / SpecError, and `bsideal run` never shows a
-traceback.  Exponents stay at one digit and nesting stays shallow, because
-nothing bounds the degree of a parsed polynomial yet."""
+traceback."""
 
 import contextlib
 import io
 import json
 import os
-import re
 import tempfile
 
 import pytest
@@ -26,10 +24,7 @@ TOKENS = st.sampled_from(
     ["x", "y", "z", "x1", "0", "1", "2", "3", "9", "+", "-", "*", "/", "^", "(", ")",
      " ", "²", "٣", "½", "1.5", "**", "_", "s", "\t", "é", "∂"]
 )
-LONG_POWER = re.compile(r"\^\s*[0-9]{2}")
-EXPRESSIONS = (
-    st.lists(TOKENS, max_size=10).map("".join) | st.text(max_size=8)
-).filter(lambda t: not LONG_POWER.search(t))
+EXPRESSIONS = st.lists(TOKENS, max_size=10).map("".join) | st.text(max_size=8)
 
 # small well-formed polynomials in x and y, so a run gets past parsing
 MONOMIAL = st.builds(
