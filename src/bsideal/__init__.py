@@ -19,13 +19,7 @@ from .solver import (
     sample_ideal,
     verify,
 )
-from .hyperplanes import (
-    Hyperplane,
-    StructureReport,
-    check_translation_union,
-    extract_hyperplanes,
-    structure_report,
-)
+from .hyperplanes import Hyperplane, check_translation_union, extract_hyperplanes
 from .snc import (
     EmptySupportError,
     GraphComponent,

@@ -32,7 +32,7 @@ import os
 import sys
 from typing import Any, Sequence
 
-from .hyperplanes import Hyperplane, extract_hyperplanes, structure_report
+from .hyperplanes import Hyperplane, extract_hyperplanes
 from .polynomials import (
     PolyParseError,
     format_poly,
@@ -44,6 +44,7 @@ from .snc import (
     SNCError,
     graph_from_exponents,
     mon_zeta,
+    monomial_exponents,
     reweight,
     sabbah_specialize,
     slope_set,
@@ -65,6 +66,8 @@ TASKS = ("bs-find", "bs-verify", "decompose", "snc", "zeta", "exp-compare")
 NEEDS_FIND = {"bs-verify", "decompose", "exp-compare"}
 NEEDS_GRAPH = {"snc", "zeta"}
 BOUND_KEYS = ("order", "x_degree", "s_degree", "b_degree")
+# report keys of Hyperplane.structure_flags, in its order
+STRUCTURE_FLAGS = ("slopes_nonnegative", "intercept_positive", "has_active_index")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -240,6 +243,8 @@ def load_specs(paths: Sequence[str]) -> list[ProblemSpec]:
                 )
             seen[spec.id] = path
             specs.append(spec)
+    if not specs:
+        raise SpecError(f"no problem entries in {', '.join(paths)}")
     return specs
 
 
@@ -262,20 +267,18 @@ def _hyperplanes_json(
 ) -> tuple[list[dict], bool]:
     """Report rows for sorted (hyperplane, multiplicity) pairs, and whether
     every hyperplane passes the structure checks for twist a."""
-    rep = structure_report([h for h, _ in pairs], a)
     rows = []
-    for v, (h, mult) in zip(rep.verdicts, pairs):
+    for h, mult in pairs:
+        flags = h.structure_flags(a)
         rows.append({
             "normal": list(h.normal),
             "intercept": str(h.intercept),
             "text": h.text(),
             "multiplicity": mult,
-            "slopes_nonnegative": v.slopes_nonnegative,
-            "intercept_positive": v.intercept_positive,
-            "has_active_index": v.has_active_index,
-            "passes": v.passes,
+            **dict(zip(STRUCTURE_FLAGS, flags)),
+            "passes": all(flags),
         })
-    return rows, rep.all_pass
+    return rows, all(row["passes"] for row in rows)
 
 
 def _cosets_json(cosets) -> list[dict]:
@@ -374,9 +377,9 @@ class EntryRunner:
         cert_json = None
         cert_verified = None
         cert_matches = None
-        exps = self._monomial_exponents()
+        exps = monomial_exponents(self.spec.ctx)
         if exps is not None:
-            cert = snc_certificate(exps, a, x_names=self.spec.variables)
+            cert = snc_certificate(self.spec.ctx, a)
             cert_json = cert.to_json_dict()
             cert_verified = verify(cert)
             derived = graph_from_exponents(exps)
@@ -399,15 +402,6 @@ class EntryRunner:
             "certificate_b_matches_graph": cert_matches,
             "ok": ok,
         }
-
-    def _monomial_exponents(self) -> list[list[int]] | None:
-        rows = []
-        for p in self.spec.F:
-            terms = list(p.terms.items())
-            if len(terms) != 1 or terms[0][1] != 1:
-                return None
-            rows.append(list(terms[0][0]))
-        return rows
 
     def task_zeta(self) -> dict:
         graph = self.spec.graph
@@ -537,10 +531,7 @@ def render_text(report: dict) -> str:
             word = "ok" if r["ok"] else "FAILED"
             lines.append(f"decompose: {word}; {len(r['hyperplanes'])} hyperplane(s)")
             for h in r["hyperplanes"]:
-                flags = "".join(
-                    "+" if h[k] else "-"
-                    for k in ("slopes_nonnegative", "intercept_positive", "has_active_index")
-                )
+                flags = "".join("+" if h[k] else "-" for k in STRUCTURE_FLAGS)
                 lines.append(f"  {h['text']} = 0  mult {h['multiplicity']}  [{flags}]")
             if r["residual_nonconstant"]:
                 lines.append("  residual: nonconstant factor left unextracted")

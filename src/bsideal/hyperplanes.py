@@ -82,6 +82,16 @@ class Hyperplane:
     def text(self) -> str:
         return format_poly(self.poly(), s_names(self.r))
 
+    def structure_flags(self, a: Sequence[int]) -> tuple[bool, bool, bool]:
+        """The expected codimension-one shape for twist a: nonnegative
+        slopes, strictly positive intercept, and a strictly positive slope
+        entry at an index where a is nonzero."""
+        return (
+            all(v >= 0 for v in self.normal),
+            self.intercept > 0,
+            any(ai != 0 and v > 0 for ai, v in zip(a, self.normal)),
+        )
+
 
 def linear_form(normal: Sequence[int], intercept: Scalar = 0) -> MPoly:
     r = len(normal)
@@ -186,51 +196,6 @@ def extract_hyperplanes(p: MPoly) -> tuple[list[tuple[Hyperplane, int]], MPoly]:
                 found[h] = found.get(h, 0) + 1
     ordered = sorted(found.items(), key=lambda t: t[0].sort_key())
     return ordered, rem
-
-
-@dataclass(frozen=True)
-class HyperplaneVerdict:
-    hyperplane: Hyperplane
-    slopes_nonnegative: bool
-    intercept_positive: bool
-    has_active_index: bool
-
-    @property
-    def passes(self) -> bool:
-        return self.slopes_nonnegative and self.intercept_positive and self.has_active_index
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Per-hyperplane verdicts for the expected codimension-one shape:
-
-    nonnegative slopes, strictly positive intercept, and at least one
-    strictly positive slope entry at an index where the twist is nonzero.
-    """
-
-    verdicts: tuple[HyperplaneVerdict, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v.passes for v in self.verdicts)
-
-
-def structure_report(
-    hyperplanes: Iterable[Hyperplane], a: Sequence[int]
-) -> StructureReport:
-    verdicts = []
-    for h in sorted(hyperplanes, key=Hyperplane.sort_key):
-        verdicts.append(
-            HyperplaneVerdict(
-                hyperplane=h,
-                slopes_nonnegative=all(v >= 0 for v in h.normal),
-                intercept_positive=h.intercept > 0,
-                has_active_index=any(
-                    ai != 0 and v > 0 for ai, v in zip(a, h.normal)
-                ),
-            )
-        )
-    return StructureReport(tuple(verdicts))
 
 
 def check_translation_union(

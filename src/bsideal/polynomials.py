@@ -58,22 +58,22 @@ class MPoly:
     equals.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Scalar] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        acc: dict[Exponents, Scalar] = {}
+        clean: dict[Exponents, Scalar] = {}
         if terms:
+            # the keys of a mapping stay distinct under tuple()
             for exps, c in terms.items():
                 e = tuple(exps)
                 if len(e) != nvars or any(x < 0 or not isinstance(x, int) for x in e):
                     raise ValueError(f"bad exponent tuple {e!r} for {nvars} variables")
-                c = _coerce(c)
-                acc[e] = acc[e] + c if e in acc else c
+                if c := _coerce(c):
+                    clean[e] = c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", {e: _coerce(c) for e, c in acc.items() if c})
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("MPoly is immutable")
@@ -116,9 +116,6 @@ class MPoly:
             raise ValueError("not a constant polynomial")
         return self.terms.get((0,) * self.nvars, 0)
 
-    def coeff(self, exps: Sequence[int]) -> Scalar:
-        return self.terms.get(tuple(exps), 0)
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -147,11 +144,7 @@ class MPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.nvars, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
@@ -168,9 +161,6 @@ class MPoly:
                 del acc[e]
         return MPoly._raw(self.nvars, acc)
 
-    def __radd__(self, other) -> "MPoly":
-        return self.__add__(other)
-
     def __neg__(self) -> "MPoly":
         return MPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
@@ -180,9 +170,6 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.__add__(other.__neg__())
-
-    def __rsub__(self, other) -> "MPoly":
-        return self.__neg__().__add__(other)
 
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
@@ -222,7 +209,6 @@ class MPoly:
         p = cls.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
         return p
 
     # -- calculus and substitution -----------------------------------
@@ -261,15 +247,6 @@ class MPoly:
             for te, tc in term.terms.items():
                 acc[te] = acc.get(te, 0) + c * tc
         return MPoly._raw(tgt, {e: c for e, c in acc.items() if c})
-
-    def shift(self, offsets: Sequence[Scalar]) -> "MPoly":
-        """p(v1 + k1, ..., vn + kn) for scalar offsets k."""
-        if len(offsets) != self.nvars:
-            raise ValueError("need one offset per variable")
-        reps = [
-            MPoly.variable(self.nvars, i) + _coerce(k) for i, k in enumerate(offsets)
-        ]
-        return self.compose(reps)
 
     def embed(self, new_nvars: int, mapping: Sequence[int]) -> "MPoly":
         """Reindex variables: old variable i becomes mapping[i]."""

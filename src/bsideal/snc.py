@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .hyperplanes import linear_form
-from .polynomials import MPoly, format_poly, grlex_key, s_names
+from .polynomials import MPoly, format_poly, grlex_key
 from .solver import BSCertificate
+from .torus import TorusCoset, cosets_of_character
 from .weyl import GermContext, WeylOperator
 
 
@@ -38,12 +39,6 @@ class SNCError(Exception):
 
 class EmptySupportError(SNCError):
     """empty-K: no component carries an f_i with nonzero twist."""
-
-
-def default_x_names(n: int) -> list[str]:
-    if n <= 3:
-        return ["x", "y", "z"][:n]
-    return [f"x{i + 1}" for i in range(n)]
 
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -192,34 +187,34 @@ def snc_b_element(graph: ResolutionGraph, a: Sequence[int]) -> MPoly:
     return out
 
 
-def snc_certificate(
-    exponents: Sequence[Sequence[int]],
-    a: Sequence[int],
-    x_names: Sequence[str] | None = None,
-) -> BSCertificate:
+def monomial_exponents(ctx: GermContext) -> list[tuple[int, ...]] | None:
+    """The x-exponents of each f_i when every f_i is a monomial with
+    coefficient 1 (a pure monomial collection), else None."""
+    rows = []
+    for f in ctx.F:
+        if len(f.terms) != 1:
+            return None
+        ((e, c),) = f.terms.items()
+        if c != 1:
+            return None
+        rows.append(e[: ctx.n])
+    return rows
+
+
+def snc_certificate(ctx: GermContext, a: Sequence[int]) -> BSCertificate:
     """Closed-form certificate for a pure monomial collection.
 
     With f_j = prod_k y_k^(l_{j,k}) and c_k = sum_j a_j l_{j,k}, the
     operator prod_k d_k^(c_k) applied to f^(s+a) produces exactly the
     graph b-element times f^s; the returned certificate carries that pair.
     """
-    graph = graph_from_exponents(exponents)
+    exponents = monomial_exponents(ctx)
+    if exponents is None:
+        raise ValueError("F is not a pure monomial collection")
     a = tuple(a)
-    b = snc_b_element(graph, a)  # raises on empty support
-
-    r = len(exponents)
-    n = len(exponents[0])
-    xn = list(x_names) if x_names is not None else default_x_names(n)
-    F = [
-        MPoly.monomial(n, tuple(int(e) for e in row))
-        for row in exponents
-    ]
-    ctx = GermContext(xn, s_names(r), F)
-    beta = tuple(
-        sum(a[j] * int(exponents[j][k]) for j in range(r)) for k in range(n)
-    )
-    P = WeylOperator.d_power(n, r, beta)
-    return BSCertificate(ctx, a, b, P)
+    b = snc_b_element(graph_from_exponents(exponents), a)  # raises on empty support
+    beta = tuple(sum(map(mul, a, column)) for column in zip(*exponents))
+    return BSCertificate(ctx, a, b, WeylOperator.d_power(ctx.n, ctx.r, beta))
 
 
 @dataclass(frozen=True)
@@ -285,11 +280,9 @@ def reweight(graph: ResolutionGraph, m: Sequence[int]) -> ResolutionGraph:
     return ResolutionGraph(1, comps)
 
 
-def support_loci(graph: ResolutionGraph, a: Sequence[int]):
+def support_loci(graph: ResolutionGraph, a: Sequence[int]) -> tuple[TorusCoset, ...]:
     """Union over i with a_i != 0 of the torsion loci lambda^(L_k) = 1 for
     the components containing the divisor of f_i, as sorted canonical cosets."""
-    from .torus import TorusCoset, cosets_of_character
-
     a = tuple(a)
     support_components(graph, a)  # raises empty-K consistently
     out: set[TorusCoset] = set()

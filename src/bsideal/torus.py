@@ -38,11 +38,6 @@ class TorusCoset:
             theta = -theta
         return cls(v, theta % 1)
 
-    def contains_angles(self, beta: Sequence[Fraction]) -> bool:
-        """Membership of the point exp(2*pi*i*beta), beta rational."""
-        val = sum((Fraction(b) * c for b, c in zip(beta, self.v)), Fraction(0))
-        return (val - self.theta) % 1 == 0
-
     def sort_key(self) -> tuple:
         return (self.v, self.theta)
 

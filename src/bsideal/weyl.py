@@ -102,9 +102,6 @@ class WeylOperator:
             self.nx == other.nx and self.ns == other.ns and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.nx, self.ns, frozenset(self.terms.items())))
-
     # -- algebra --------------------------------------------------------
 
     def _check(self, other: "WeylOperator") -> None:
@@ -117,9 +114,6 @@ class WeylOperator:
         for key, c in other.terms.items():
             acc[key] = acc[key] + c if key in acc else c
         return WeylOperator(self.nx, self.ns, acc)
-
-    def __sub__(self, other: "WeylOperator") -> "WeylOperator":
-        return self + other.scale(-1)
 
     def scale(self, c: Scalar | MPoly) -> "WeylOperator":
         c = _coeff_poly(c, self.ns)
@@ -235,9 +229,6 @@ class GermContext:
             and self.F == other.F
         )
 
-    def __hash__(self) -> int:
-        return hash((self.x_names, self.s_vars, self.F))
-
     def weight(self, exps: Sequence[int]) -> tuple[int, ...]:
         """The w-degree w . exps of an x-exponent under each basis vector of W."""
         return tuple(sum(map(mul, w, exps)) for w in self.weights)
@@ -299,9 +290,6 @@ class GermElement:
         """The generator f^(s + twist)."""
         return cls(ctx, ctx.one(), (0,) * ctx.r, twist)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def net_exponents(self) -> tuple[int, ...]:
         return tuple(t - m for t, m in zip(self.twist, self.denom))
 
@@ -346,18 +334,11 @@ class GermElement:
         twist = tuple(x + m for x, m in zip(e, denom))
         return GermElement(self.ctx, p + q, denom, twist)
 
-    def __sub__(self, other: "GermElement") -> "GermElement":
-        return self + other.scale(-1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GermElement):
             return NotImplemented
         p, q, _ = self._aligned(other)
         return p == q
-
-    def __hash__(self) -> int:
-        reduced = self.reduce()
-        return hash((reduced.ctx, reduced.num, reduced.net_exponents()))
 
 
 def partial_derivative(v: GermElement, j: int) -> GermElement:

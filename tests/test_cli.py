@@ -210,6 +210,15 @@ def test_no_inputs_is_usage_error(capsys):
     assert "parse-error" in err
 
 
+def test_empty_batch_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    code, out, err = run(["run", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "parse-error" in err and "no problem entries" in err
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -42,6 +42,11 @@ def assert_int(p):
     assert all(type(c) is int for c in p.terms.values()), p.terms
 
 
+def shifted(p, offsets):
+    """p(x_1 + k_1, ..., x_n + k_n): compose with translated variables."""
+    return p.compose([MPoly.variable(p.nvars, i) + k for i, k in enumerate(offsets)])
+
+
 def ref(p):
     return {e: Fraction(c) for e, c in p.terms.items()}
 
@@ -152,7 +157,7 @@ def test_compose_and_shift_match_fraction_reference(p, reps, offsets):
     got = p.compose(reps)
     assert_exact(got)
     assert ref(got) == ref_compose(ref(p), [ref(x) for x in reps], NVARS)
-    got = p.shift(offsets)
+    got = shifted(p, offsets)
     assert_exact(got)
     lines = [
         ref_add({tuple(int(j == i) for j in range(NVARS)): Fraction(1)}, {(0,) * NVARS: Fraction(k)})
@@ -166,7 +171,7 @@ def test_compose_and_shift_match_fraction_reference(p, reps, offsets):
        st.lists(INTS, min_size=NVARS, max_size=NVARS), st.integers(0, NVARS - 1))
 def test_integer_inputs_give_int_coefficients(p, q, reps, offsets, i):
     results = [p + q, p - q, p * q, -p, p * 3, p ** 2, p.derivative(i),
-               p.compose(reps), p.shift(offsets)]
+               p.compose(reps), shifted(p, offsets)]
     if q:
         results.append((p * q).divide_exact(q))
     for result in results:
@@ -176,4 +181,4 @@ def test_integer_inputs_give_int_coefficients(p, q, reps, offsets, i):
 def test_integral_values_are_stored_as_int():
     p = MPoly(1, {(1,): Fraction(4, 2), (0,): True, (2,): Fraction(1, 2)})
     assert [type(c) for _, c in p.sorted_terms()] == [Fraction, int, int]
-    assert type(MPoly(1, {(1,): 2}).divide_exact(MPoly(1, {(0,): 4})).coeff((1,))) is Fraction
+    assert type(MPoly(1, {(1,): 2}).divide_exact(MPoly(1, {(0,): 4})).terms[(1,)]) is Fraction

@@ -9,7 +9,6 @@ from bsideal.hyperplanes import (
     extract_hyperplanes,
     linear_form,
     primitive_slopes,
-    structure_report,
 )
 from bsideal.polynomials import MPoly, parse_poly, s_names
 
@@ -189,20 +188,13 @@ def test_translate_moves_zero_set():
     assert t.intercept == Fraction(0)
 
 
-def test_structure_report_flags():
+def test_structure_flags():
     ok = Hyperplane((1, 1), Fraction(1, 2))
-    neg_slope = Hyperplane((1, -1), Fraction(1))
-    bad_intercept = Hyperplane((1, 0), Fraction(0))
-    rep = structure_report([ok, neg_slope, bad_intercept], (1, 1))
-    by_h = {v.hyperplane: v for v in rep.verdicts}
-    assert by_h[ok].passes
-    assert not by_h[neg_slope].slopes_nonnegative
-    assert not by_h[bad_intercept].intercept_positive
-    assert not rep.all_pass
+    assert ok.structure_flags((1, 1)) == (True, True, True)
+    assert Hyperplane((1, -1), Fraction(1)).structure_flags((1, 1)) == (False, True, True)
+    assert Hyperplane((1, 0), Fraction(0)).structure_flags((1, 1)) == (True, False, True)
     # active index: normal supported only where the twist vanishes
-    rep = structure_report([Hyperplane((0, 1), Fraction(1))], (1, 0))
-    assert not rep.verdicts[0].has_active_index
-    assert structure_report([ok], (1, 1)).all_pass
+    assert Hyperplane((0, 1), Fraction(1)).structure_flags((1, 0)) == (True, True, False)
 
 
 def test_check_translation_union():

@@ -12,9 +12,9 @@ from bsideal.snc import (
     GraphComponent,
     MonZeta,
     ResolutionGraph,
-    default_x_names,
     graph_from_exponents,
     mon_zeta,
+    monomial_exponents,
     reweight,
     sabbah_specialize,
     slope_set,
@@ -25,6 +25,7 @@ from bsideal.snc import (
 )
 from bsideal.solver import verify
 from bsideal.torus import TorusCoset
+from bsideal.weyl import GermContext
 
 
 def graph(weight_rows, chis=None):
@@ -36,11 +37,6 @@ def graph(weight_rows, chis=None):
 
 
 X_XY = graph([(1, 1), (0, 1)])
-
-
-def test_default_x_names():
-    assert default_x_names(2) == ["x", "y"]
-    assert default_x_names(4) == ["x1", "x2", "x3", "x4"]
 
 
 def test_component_validation():
@@ -112,8 +108,24 @@ def test_snc_b_element_frozen():
     assert snc_b_element(X_XY, (1, 0)) == linear_form((1, 1), 1)
 
 
+def monomial_ctx(exps):
+    n = len(exps[0])
+    F = [MPoly.monomial(n, row) for row in exps]
+    return GermContext(["x", "y", "z"][:n], s_names(len(exps)), F)
+
+
+def test_monomial_exponents():
+    assert monomial_exponents(monomial_ctx([[1, 0], [2, 3]])) == [(1, 0), (2, 3)]
+    xy = ["x", "y"]
+    for texts in (["x", "x + y"], ["2*x*y"], ["-x"]):
+        ctx = GermContext(xy, s_names(len(texts)), [parse_poly(t, xy) for t in texts])
+        assert monomial_exponents(ctx) is None
+        with pytest.raises(ValueError):
+            snc_certificate(ctx, (1,) * len(texts))
+
+
 def test_snc_certificate_example():
-    cert = snc_certificate([[1, 0], [1, 1]], (1, 1))
+    cert = snc_certificate(monomial_ctx([[1, 0], [1, 1]]), (1, 1))
     assert verify(cert)
     assert cert.b == snc_b_element(X_XY, (1, 1))
     assert cert.to_json_dict()["P"] == "dx^2*dy"
@@ -131,7 +143,7 @@ def test_snc_certificate_random():
         a = tuple(rng.randint(0, 2) for _ in range(r))
         if all(x == 0 for x in a):
             a = (1,) * r
-        cert = snc_certificate(exps, a)
+        cert = snc_certificate(monomial_ctx(exps), a)
         assert verify(cert)
         g = graph_from_exponents(exps)
         assert cert.b == snc_b_element(g, a)

@@ -90,7 +90,7 @@ def test_twist_shift_identity_for_x():
     ctx = make_ctx(["x"], ["x"])
     b1 = find_bs_pair(ctx, (1,), SolveBounds(1, 0, 0, 1)).b
     b2 = find_bs_pair(ctx, (2,), SolveBounds(2, 0, 0, 2)).b
-    assert b2 == b1 * b1.shift((1,))
+    assert b2 == b1 * b1.compose([MPoly.variable(1, 0) + 1])
 
 
 def test_no_solution_within_bounds():
