@@ -34,6 +34,7 @@ from typing import Any, Sequence
 
 from .hyperplanes import Hyperplane, extract_hyperplanes
 from .polynomials import (
+    MPoly,
     PolyParseError,
     format_poly,
     parse_poly,
@@ -291,13 +292,13 @@ def _cosets_json(cosets) -> list[dict]:
 
 
 class EntryRunner:
-    """Executes one entry's tasks; memoizes one solve, one factorization of
-    its b and one set of support loci per twist vector."""
+    """Executes one entry's tasks; memoizes one solve and one set of support
+    loci per twist vector, and one factorization per distinct b."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self._certs: dict[tuple[int, ...], tuple] = {}
-        self._hyps: dict[tuple[int, ...], tuple] = {}
+        self._factors: dict[MPoly, tuple] = {}
         self._loci: dict[tuple[int, ...], tuple] = {}
 
     def certificate(self, a: tuple[int, ...]) -> tuple[str, BSCertificate]:
@@ -314,17 +315,20 @@ class EntryRunner:
             (self._certs[a],) = found
         return self._certs[a]
 
+    def factors(self, b: MPoly):
+        """b's linear factors as sorted (hyperplane, multiplicity) pairs, and
+        whether a nonconstant factor is left over."""
+        if b not in self._factors:
+            pairs, rem = extract_hyperplanes(b)
+            self._factors[b] = pairs, rem.total_degree() > 0
+        return self._factors[b]
+
     def ideal_hyperplanes(self, a: tuple[int, ...]):
-        """The canonical b's linear factors for twist a as sorted
-        (hyperplane, multiplicity) pairs, and whether a nonconstant factor
-        is left over.
+        """`factors` of the canonical b for twist a.
 
         Z(B_F^a) lies in Z(b), so these hyperplanes over-approximate its
         codimension-one part; they are exact when b generates B_F^a."""
-        if a not in self._hyps:
-            pairs, rem = extract_hyperplanes(self.certificate(a)[1].b)
-            self._hyps[a] = pairs, rem.total_degree() > 0
-        return self._hyps[a]
+        return self.factors(self.certificate(a)[1].b)
 
     def exp_set(self, a: tuple[int, ...]) -> set[TorusCoset]:
         return {exp_image(h) for h, _ in self.ideal_hyperplanes(a)[0]}
@@ -366,11 +370,11 @@ class EntryRunner:
         a = self.spec.a
         slopes = slope_set(graph, a)
         b_el = snc_b_element(graph, a)
-        pairs, rem = extract_hyperplanes(b_el)
+        pairs, residual = self.factors(b_el)
         extracted, structure_ok = _hyperplanes_json(pairs, a)
         matches = (
             {h.normal for h, _ in pairs} == set(slopes)
-            and rem.total_degree() == 0
+            and not residual
             and all(h.intercept > 0 for h, _ in pairs)
         )
 
@@ -381,7 +385,9 @@ class EntryRunner:
         if exps is not None:
             cert = snc_certificate(self.spec.ctx, a)
             cert_json = cert.to_json_dict()
-            cert_verified = verify(cert)
+            # find_bs_pair returns a certificate only after verify passed
+            solved = self._certs.get(a)
+            cert_verified = (solved is not None and solved[1] == cert) or verify(cert)
             derived = graph_from_exponents(exps)
             if tuple(c.weights for c in derived.components) == tuple(
                 c.weights for c in graph.components

@@ -180,6 +180,15 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
+        # a one-term operand only shifts the other's exponents, and a
+        # product of nonzero coefficients is nonzero
+        mono, rest = (other, self) if len(other.terms) == 1 else (self, other)
+        if len(mono.terms) == 1:
+            ((e2, c2),) = mono.terms.items()
+            return MPoly._raw(
+                self.nvars,
+                {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in rest.terms.items()},
+            )
         acc: dict[Exponents, Scalar] = {}
         get = acc.get
         rhs = list(other.terms.items())
@@ -267,15 +276,24 @@ class MPoly:
     def divide_exact(self, divisor: "MPoly") -> "MPoly | None":
         """Quotient self/divisor if the division is exact, else None.
 
-        The remainder is walked in descending graded lex order through a
-        heap: every term the division creates lies below the one being
-        cancelled, so each pop is the remainder's leading term.
+        A one-term divisor divides term by term.  Otherwise the remainder
+        is walked in descending graded lex order through a heap: every term
+        the division creates lies below the one being cancelled, so each
+        pop is the remainder's leading term.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return MPoly.zero(self.nvars)
+        if len(divisor.terms) == 1:
+            ((de, dc),) = divisor.terms.items()
+            quo = {}
+            for e, c in self.terms.items():
+                if any(map(lt, e, de)):
+                    return None
+                quo[tuple(map(sub, e, de))] = _div(c, dc)
+            return MPoly._raw(self.nvars, quo)
         lead_e, lead_c = divisor.leading()
         if any(map(lt, max(self.terms, key=grlex_key), lead_e)):
             return None

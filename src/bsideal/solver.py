@@ -45,6 +45,7 @@ from .weyl import (
     GermElement,
     WeylOperator,
     apply,
+    derivative_table,
     format_operator,
     partial_derivative,
 )
@@ -139,17 +140,9 @@ def find_bs_pair(
     a = _validate_twist(ctx, a)
     n, r = ctx.n, ctx.r
 
-    germs = {(0,) * n: GermElement.power(ctx, a)}
-
-    def germ_for(beta: Exps) -> GermElement:
-        g = germs.get(beta)
-        if g is not None:
-            return g
-        j = next(i for i, e in enumerate(beta) if e > 0)
-        prev = tuple(e - (1 if i == j else 0) for i, e in enumerate(beta))
-        g = partial_derivative(germ_for(prev), j)
-        germs[beta] = g
-        return g
+    # partial_derivative is looked up in this module on each call, so a
+    # wrapper bound at solver.partial_derivative sees every derivative
+    germ_for = derivative_table(GermElement.power(ctx, a), partial_derivative)
 
     alphas = list(iter_monomials(n, bounds.max_x_degree))
     sigmas = list(iter_monomials(r, bounds.max_s_degree))
@@ -172,10 +165,7 @@ def find_bs_pair(
         for beta in iter_monomials(n, bounds.max_operator_order)
         if (kept := by_weight.get(tuple(map(sub, ctx.weight(beta), target))))
     ]
-    for beta, _ in graded:
-        germ_for(beta)
-
-    M = tuple(max([a[i], *(germs[b].denom[i] for b, _ in graded)]) for i in range(r))
+    M = tuple(max([a[i], *(germ_for(b).denom[i] for b, _ in graded)]) for i in range(r))
 
     ucols: list[tuple[Exps, Exps, Exps]] = [
         (beta, alpha, sigma)
@@ -186,13 +176,13 @@ def find_bs_pair(
     U = len(ucols)
     ncols = U + len(taus)
 
-    # Column (beta, alpha, sigma) is germs[beta] brought to the common
+    # Column (beta, alpha, sigma) is germ_for(beta) brought to the common
     # denominator f^M, times x^alpha s^sigma: one product per beta, then
     # exponent shifts.  Column U + t is -f^(M - a) s^taus[t].
     rows: dict[Exps, dict[int, Scalar]] = {}
     col = 0
     for beta, kept in graded:
-        g = germs[beta]
+        g = germ_for(beta)
         base = g.num * ctx.f_power(tuple(x - y for x, y in zip(M, g.denom)))
         for alpha in kept:
             for sigma in sigmas:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .linalg import nullspace
 from .polynomials import MPoly, Scalar, format_poly, grlex_key
@@ -362,21 +362,40 @@ def partial_derivative(v: GermElement, j: int) -> GermElement:
     return GermElement(ctx, num, denom, v.twist).reduce()
 
 
+def derivative_table(
+    v: GermElement, differentiate: Callable[[GermElement, int], GermElement]
+) -> Callable[[Exps], GermElement]:
+    """beta -> d^beta v, memoized.  d^beta v is taken as the derivative in
+    the first variable where beta is positive of d^(beta minus that unit) v,
+    so betas with a common prefix share their derivative chain."""
+    table = {(0,) * v.ctx.n: v}
+
+    # iterative: a closure that called itself would be a reference cycle,
+    # keeping the table alive until the cyclic collector runs
+    def germ_for(beta: Exps) -> GermElement:
+        chain = []
+        while beta not in table:
+            j = next(i for i, e in enumerate(beta) if e > 0)
+            chain.append((beta, j))
+            beta = beta[:j] + (beta[j] - 1,) + beta[j + 1 :]
+        g = table[beta]
+        for beta, j in reversed(chain):
+            g = table[beta] = differentiate(g, j)
+        return g
+
+    return germ_for
+
+
 def apply(op: WeylOperator, v: GermElement) -> GermElement:
     """Apply a normally ordered operator to a germ."""
     ctx = v.ctx
     if op.nx != ctx.n or op.ns != ctx.r:
         raise ValueError("operator shape does not match germ context")
+    germ_for = derivative_table(v, partial_derivative)
     total = GermElement(ctx, MPoly.zero(ctx.nvars), (0,) * ctx.r, v.twist)
     for (alpha, beta), c in sorted(
         op.terms.items(), key=lambda t: (grlex_key(t[0][1]), grlex_key(t[0][0]))
     ):
-        w = v
-        for j, b in enumerate(beta):
-            for _ in range(b):
-                w = partial_derivative(w, j)
         mono = MPoly.monomial(ctx.nvars, tuple(alpha) + (0,) * ctx.r)
-        w = w.scale(mono * lift_s(c, ctx.n))
-        total = total + w
+        total = total + germ_for(beta).scale(mono * lift_s(c, ctx.n))
     return total.reduce()
-

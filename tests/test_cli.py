@@ -418,7 +418,8 @@ def test_golden_dir_is_bundled(capsys):
 
 def test_each_twist_solved_checked_factored_once(monkeypatch):
     # x_xy_a11 runs every task over the twists (1,1), (1,0) and (0,1); its
-    # monomial F also gets a closed-form certificate and an snc b-element
+    # monomial F also gets a closed-form certificate and an snc b-element,
+    # equal to the solved certificate and canonical b for (1,1)
     calls = {"verify": 0, "extract": 0}
 
     def counting(key, fn):
@@ -437,4 +438,32 @@ def test_each_twist_solved_checked_factored_once(monkeypatch):
     entry = EntryRunner(spec).run()
     assert entry["ok"] is True
     assert entry["tasks"] == list(cli.TASKS)
-    assert calls == {"verify": 4, "extract": 4}
+    assert calls == {"verify": 3, "extract": 3}
+
+
+@pytest.mark.parametrize(
+    "spec_of",
+    [
+        # graph only: nothing was solved, so the closed form is checked
+        lambda tmp_path: load_specs([write_entry(tmp_path, **PAIR, resolution_graph={
+            "r": 2, "components": [{"L": [1, 0]}, {"L": [0, 1]}]})])[0],
+        # x^2 is solved with monic b = (s+1)(s+1/2), P = 1/4*dx^2, and the
+        # closed form is b = (2s+1)(2s+2), P = dx^2: it is checked itself
+        lambda tmp_path: load_specs([corpus_file("mono_x2_a1")])[0],
+    ],
+    ids=["graph-only", "closed-form-differs"],
+)
+def test_closed_form_certificate_verified_unless_solved(spec_of, tmp_path, monkeypatch):
+    checked = []
+
+    def counting(cert):
+        checked.append(cert)
+        return solver.verify(cert)
+
+    monkeypatch.setattr(cli, "verify", counting)
+    spec = spec_of(tmp_path)
+    entry = EntryRunner(spec).run()
+    assert entry["ok"] is True
+    snc = entry["results"]["snc"]
+    assert snc["certificate_verified"] is True
+    assert [c.to_json_dict() for c in checked] == [snc["certificate"]]

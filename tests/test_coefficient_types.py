@@ -182,3 +182,36 @@ def test_integral_values_are_stored_as_int():
     p = MPoly(1, {(1,): Fraction(4, 2), (0,): True, (2,): Fraction(1, 2)})
     assert [type(c) for _, c in p.sorted_terms()] == [Fraction, int, int]
     assert type(MPoly(1, {(1,): 2}).divide_exact(MPoly(1, {(0,): 4})).terms[(1,)]) is Fraction
+
+
+ONE_TERM = polys(INTS | FRACS, max_terms=1).filter(bool)
+
+
+def integral_fractions(p):
+    """p with every coefficient a Fraction, integral ones included, as
+    arithmetic on Fractions leaves them."""
+    return p * Fraction(1, 2) * 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANY, ONE_TERM, ANY, st.booleans(), st.booleans())
+def test_one_term_product_and_quotient_match_reference(p, m, r, p_frac, m_frac):
+    # a one-term operand shifts exponents instead of taking the general
+    # product, and a one-term divisor divides term by term
+    if p_frac:
+        p = integral_fractions(p)
+    if m_frac:
+        m = integral_fractions(m)
+    expected = ref_mul(ref(p), ref(m))
+    for product in (p * m, m * p):
+        assert_exact(product)
+        assert ref(product) == expected
+    assert (p * m).divide_exact(m) == p
+    dividend = p * m + r
+    got = dividend.divide_exact(m)
+    want = ref_divide(ref(dividend), ref(m))
+    if want is None:
+        assert got is None
+    else:
+        assert_exact(got)
+        assert ref(got) == want

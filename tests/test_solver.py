@@ -1,11 +1,12 @@
 """Bounded functional-equation solver against hand-checkable classics."""
 
 import importlib.util
+import itertools
 import os
 import random
 import sys
 from fractions import Fraction
-from operator import add, mul
+from operator import add, ge, mul
 
 import pytest
 
@@ -499,6 +500,58 @@ def test_brieskorn_pham_closed_form(p, box):
     want = brieskorn_pham_b(p)
     assert len(want) == box[3] + 1
     assert cert.b.terms == {(k,): c for k, c in enumerate(want) if c}
+
+
+def milnor_b_function(f_text, names):
+    """b_f of a quasi-homogeneous isolated singularity by the closed form,
+    computed with sympy alone, and the Milnor number.
+
+    The weights w solve w . m = 1 for every exponent m of f, and
+    b_f = (s + 1) * prod (s + l) over the distinct l = sum w_i (m_i + 1),
+    x^m ranging over the standard monomials of a grevlex Groebner basis of
+    the partials (Malgrange 1975; Yano 1978).
+    """
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(names)
+    f = sympy.sympify(f_text.replace("^", "**"), locals=dict(zip(names, xs)))
+    ws = sympy.symbols([f"w{i}" for i in range(len(xs))])
+    exps = sympy.Poly(f, *xs).monoms()
+    (w,) = sympy.linsolve([sum(wi * k for wi, k in zip(ws, m)) - 1 for m in exps], ws)
+    basis = sympy.groebner([sympy.diff(f, x) for x in xs], *xs, order="grevlex")
+    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
+    # a zero-dimensional ideal has a pure power of each variable among its leads
+    box = [min(m[i] for m in leads if sum(m) == m[i]) for i in range(len(xs))]
+    standard = [
+        m
+        for m in itertools.product(*map(range, box))
+        if not any(all(map(ge, m, lead)) for lead in leads)
+    ]
+    ls = {sum(wi * (k + 1) for wi, k in zip(w, m)) for m in standard}
+    b = MPoly(1, {(1,): 1, (0,): 1})
+    for l in ls:
+        b = b * MPoly(1, {(1,): 1, (0,): Fraction(int(l.p), int(l.q))})
+    return b, len(standard)
+
+
+@pytest.mark.parametrize(
+    "f, names, box, mu",
+    [
+        ("x^2*y + y^3", ["x", "y"], (4, 3, 3, 4), 4),
+        ("x^2*y + y^4", ["x", "y"], (6, 4, 4, 6), 5),
+        ("x^3 + x*y^3", ["x", "y"], (8, 5, 5, 8), 7),
+        ("x^2 + y^2 + z^5", ["x", "y", "z"], (6, 4, 4, 6), 4),
+    ],
+    ids=["D4", "D5", "E7", "x^2+y^2+z^5"],
+)
+def test_quasi_homogeneous_closed_form(f, names, box, mu):
+    # an oracle outside the package: the canonical b is the closed form,
+    # and a b-degree below that of b_f exhausts the box
+    want, milnor = milnor_b_function(f, names)
+    assert milnor == mu
+    ctx = make_ctx(names, [f])
+    assert find_bs_pair(ctx, (1,), SolveBounds(*box)).b == want
+    below = SolveBounds(*box[:3], want.total_degree() - 1)
+    assert find_bs_pair(ctx, (1,), below) is None
 
 
 def test_brieskorn_pham_below_degree_of_b_f():

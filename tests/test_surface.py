@@ -33,7 +33,6 @@ UNREACHED = {
     "linalg.solve": "bench-pinned",
     "polynomials.MPoly.__setattr__": "guard",
     "polynomials.MPoly.__bool__": "guard",
-    "polynomials.MPoly.__hash__": "guard",
     "weyl.WeylOperator.__setattr__": "guard",
     "weyl.GermContext.__setattr__": "guard",
     "weyl.GermElement.__setattr__": "guard",
