@@ -36,11 +36,8 @@ class Hyperplane:
     def __post_init__(self):
         if not self.normal or all(v == 0 for v in self.normal):
             raise ValueError("normal vector must be nonzero")
-        g = 0
-        for v in self.normal:
-            g = math.gcd(g, v)
         first = next(v for v in self.normal if v)
-        if g != 1 or first < 0:
+        if math.gcd(*self.normal) != 1 or first < 0:
             raise ValueError("normal vector must be primitive with positive lead")
         object.__setattr__(self, "intercept", Fraction(self.intercept))
 
@@ -50,13 +47,9 @@ class Hyperplane:
         fracs = [Fraction(v) for v in normal]
         if all(v == 0 for v in fracs):
             raise ValueError("normal vector must be nonzero")
-        lcm = 1
-        for v in fracs:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+        lcm = math.lcm(*(v.denominator for v in fracs))
         ints = [int(v * lcm) for v in fracs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
+        g = math.gcd(*ints)
         scale = Fraction(lcm, g)
         first = next(v for v in ints if v)
         if first < 0:

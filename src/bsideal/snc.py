@@ -42,9 +42,7 @@ class EmptySupportError(SNCError):
 
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
+    g = math.gcd(*v)
     return tuple(x // g for x in v)
 
 
@@ -281,15 +279,9 @@ def reweight(graph: ResolutionGraph, m: Sequence[int]) -> ResolutionGraph:
 
 
 def support_loci(graph: ResolutionGraph, a: Sequence[int]) -> tuple[TorusCoset, ...]:
-    """Union over i with a_i != 0 of the torsion loci lambda^(L_k) = 1 for
-    the components containing the divisor of f_i, as sorted canonical cosets."""
-    a = tuple(a)
-    support_components(graph, a)  # raises empty-K consistently
+    """Union of the torsion loci lambda^(L_k) = 1 over the components k
+    that carry some f_i with a_i != 0, as sorted canonical cosets."""
     out: set[TorusCoset] = set()
-    for i in range(graph.r):
-        if a[i] == 0:
-            continue
-        for k in range(len(graph.components)):
-            if i in graph.maps_into(k):
-                out.update(cosets_of_character(graph.components[k].weights, 0))
+    for k in support_components(graph, a):
+        out.update(cosets_of_character(graph.components[k].weights, 0))
     return tuple(sorted(out, key=lambda c: c.sort_key()))

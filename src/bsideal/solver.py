@@ -27,9 +27,11 @@ b columns is therefore a union of whole connected components: it reduces
 under the pivot rule as it would inside the whole system, and the kernel
 vectors with a b-part are those of the piece.  The other columns are never
 assembled, and no germ derivative is taken for an operator monomial that
-has none in the piece.  When W = {0} this keeps everything.  The common
-denominator f^M only scales rows, so (b, P) is the certificate of the whole
-system.  The size cap applies to the piece that is eliminated.
+has none in the piece.  When W = {0} this keeps everything.  The system is
+written over the frame f^(s - D), with D = max(0, -e) over the exponent
+vectors e of the germs it uses; f^D scales every column alike, so (b, P)
+is the certificate of the whole system.  The size cap applies to the
+piece that is eliminated.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .weyl import (
     apply,
     derivative_table,
     format_operator,
+    lift_s,
     partial_derivative,
 )
 
@@ -104,7 +107,7 @@ class BSCertificate:
 def verify(cert: BSCertificate) -> bool:
     """Exact check of b(s) * f^s == P . f^(s+a)."""
     ctx = cert.ctx
-    lhs = GermElement.power(ctx, (0,) * ctx.r).scale(cert.b)
+    lhs = GermElement(ctx, lift_s(cert.b, ctx.n), (0,) * ctx.r)
     rhs = apply(cert.P, GermElement.power(ctx, cert.a))
     return lhs == rhs
 
@@ -149,8 +152,8 @@ def find_bs_pair(
     taus = list(iter_monomials(r, bounds.max_b_degree))
 
     # Weight grading: under every w in W, column (beta, alpha, sigma) has
-    # x-degree M.deg_w(f) + w.(alpha - beta) and the b columns have
-    # (M - a).deg_w(f).  Every row is one monomial, so it holds columns of
+    # x-degree (D + a).deg_w(f) + w.(alpha - beta) and the b columns have
+    # D.deg_w(f).  Every row is one monomial, so it holds columns of
     # one degree only: the graded piece with w.(beta - alpha) = deg_w(f^a)
     # for all w is a union of whole connected components of the system and
     # holds every b column.  Columns outside it are never assembled.
@@ -165,7 +168,7 @@ def find_bs_pair(
         for beta in iter_monomials(n, bounds.max_operator_order)
         if (kept := by_weight.get(tuple(map(sub, ctx.weight(beta), target))))
     ]
-    M = tuple(max([a[i], *(germ_for(b).denom[i] for b, _ in graded)]) for i in range(r))
+    D = tuple(max([0, *(-germ_for(b).exps[i] for b, _ in graded)]) for i in range(r))
 
     ucols: list[tuple[Exps, Exps, Exps]] = [
         (beta, alpha, sigma)
@@ -176,20 +179,20 @@ def find_bs_pair(
     U = len(ucols)
     ncols = U + len(taus)
 
-    # Column (beta, alpha, sigma) is germ_for(beta) brought to the common
-    # denominator f^M, times x^alpha s^sigma: one product per beta, then
-    # exponent shifts.  Column U + t is -f^(M - a) s^taus[t].
+    # Column (beta, alpha, sigma) is germ_for(beta) over the frame
+    # f^(s - D), num * f^(D + exps), times x^alpha s^sigma: one product per
+    # beta, then exponent shifts.  Column U + t is -f^D s^taus[t].
     rows: dict[Exps, dict[int, Scalar]] = {}
     col = 0
     for beta, kept in graded:
         g = germ_for(beta)
-        base = g.num * ctx.f_power(tuple(x - y for x, y in zip(M, g.denom)))
+        base = g.num * ctx.f_power(tuple(map(add, D, g.exps)))
         for alpha in kept:
             for sigma in sigmas:
                 for mono, c in _shifted(base, alpha + sigma):
                     rows.setdefault(mono, {})[col] = c
                 col += 1
-    rhs = -ctx.f_power(tuple(x - y for x, y in zip(M, a)))
+    rhs = -ctx.f_power(D)
     for tau in taus:
         for mono, c in _shifted(rhs, (0,) * n + tau):
             rows.setdefault(mono, {})[col] = c

@@ -64,9 +64,7 @@ def cosets_of_character(
     of the g cosets lambda^v' = e^(2*pi*i*(theta + c)/g), c = 0..g-1.
     """
     v = tuple(int(x) for x in v)
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
+    g = math.gcd(*v)
     if g == 0:
         raise ValueError("character must be nonzero")
     prim = tuple(x // g for x in v)

@@ -6,18 +6,18 @@ Operators are kept normally ordered: every term is c(s) * x^alpha * d^beta.
 
 A germ is a formal element
 
-    num / (f_1^m_1 ... f_r^m_r) * f_1^(s_1+a_1) ... f_r^(s_r+a_r)
+    num * f_1^(s_1+e_1) ... f_r^(s_r+e_r)
 
-with num in Q[x, s], m in N^r, a in Z^r, for a fixed collection F of
-nonzero polynomials f_i.  Differentiation acts through the product and
-quotient rules, so denominators grow by at most one power of each f_i per
-derivative and are cancelled back eagerly.
+with num in Q[x, s] and e in Z^r, for a fixed collection F of nonzero
+polynomials f_i in Q[x].  Differentiation acts through the product rule,
+so each derivative lowers e_i by one for every f_i it touches; f_i is
+cancelled back out of num only while e_i is negative.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Sequence
 
 from .linalg import nullspace
@@ -30,12 +30,6 @@ def lift_s(p: MPoly, n: int) -> MPoly:
     """Embed Q[s] into Q[x, s] (x block first)."""
     r = p.nvars
     return p.embed(n + r, [n + i for i in range(r)])
-
-
-def lift_x(p: MPoly, r: int) -> MPoly:
-    """Embed Q[x] into Q[x, s]."""
-    n = p.nvars
-    return p.embed(n + r, list(range(n)))
 
 
 def _coeff_poly(c: Scalar | MPoly, ns: int) -> MPoly:
@@ -156,8 +150,8 @@ def format_operator(op: WeylOperator, x_names: Sequence[str], s_names: Sequence[
 class GermContext:
     """Fixed data shared by germs: variable names and the collection F.
 
-    F is stored in the combined ring Q[x, s] with the x block first; each
-    f_i must be nonzero and free of the s variables.
+    Each f_i is given in Q[x] and must be nonzero; F stores it in the
+    combined ring Q[x, s] with the x block first.
 
     `weights` is an integer basis of the weight space
     W = {w in Q^n : every f_i is w-homogeneous}, the kernel of the
@@ -170,30 +164,24 @@ class GermContext:
 
     def __init__(self, x_names: Sequence[str], s_vars: Sequence[str], F: Sequence[MPoly]):
         n, r = len(x_names), len(s_vars)
-        lifted: list[MPoly] = []
-        for f in F:
-            if f.nvars == n:
-                f = lift_x(f, r)
-            if f.nvars != n + r:
-                raise ValueError("f_i must live in Q[x] or Q[x, s]")
-            if f.is_zero():
-                raise ValueError("f_i must be nonzero")
-            if any(any(e[n:]) for e in f.terms):
-                raise ValueError("f_i must not involve the s variables")
-            lifted.append(f)
-        if len(lifted) != r:
+        if any(f.nvars != n for f in F):
+            raise ValueError("f_i must live in Q[x]")
+        if any(f.is_zero() for f in F):
+            raise ValueError("f_i must be nonzero")
+        if len(F) != r:
             raise ValueError("need exactly one f_i per s variable")
+        lifted = tuple(f.embed(n + r, list(range(n))) for f in F)
         object.__setattr__(self, "x_names", tuple(x_names))
         object.__setattr__(self, "s_vars", tuple(s_vars))
-        object.__setattr__(self, "F", tuple(lifted))
+        object.__setattr__(self, "F", lifted)
         object.__setattr__(
             self,
             "partials",
             tuple(tuple(f.derivative(j) for j in range(n)) for f in lifted),
         )
         diffs = []
-        for f in lifted:
-            first, *rest = (e[:n] for e in f.terms)
+        for f in F:
+            first, *rest = f.terms
             diffs.extend(
                 {j: x - y for j, (x, y) in enumerate(zip(e, first)) if x != y}
                 for e in rest
@@ -258,29 +246,19 @@ class GermContext:
 
 
 class GermElement:
-    """num / prod f_i^denom_i * prod f_i^(s_i + twist_i)."""
+    """num * prod f_i^(s_i + exps_i), with num in Q[x, s] and exps in Z^r."""
 
-    __slots__ = ("ctx", "num", "denom", "twist")
+    __slots__ = ("ctx", "num", "exps")
 
-    def __init__(
-        self,
-        ctx: GermContext,
-        num: MPoly,
-        denom: Sequence[int] = (),
-        twist: Sequence[int] = (),
-    ):
-        denom = tuple(denom) if denom else (0,) * ctx.r
-        twist = tuple(twist) if twist else (0,) * ctx.r
+    def __init__(self, ctx: GermContext, num: MPoly, exps: Sequence[int]):
+        exps = tuple(exps)
         if num.nvars != ctx.nvars:
             raise ValueError("numerator must live in the combined ring")
-        if len(denom) != ctx.r or len(twist) != ctx.r:
-            raise ValueError("denominator and twist must have one entry per f_i")
-        if any(m < 0 for m in denom):
-            raise ValueError("denominator exponents must be nonnegative")
+        if len(exps) != ctx.r:
+            raise ValueError("exponents must have one entry per f_i")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "exps", exps)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("GermElement is immutable")
@@ -288,51 +266,39 @@ class GermElement:
     @classmethod
     def power(cls, ctx: GermContext, twist: Sequence[int]) -> "GermElement":
         """The generator f^(s + twist)."""
-        return cls(ctx, ctx.one(), (0,) * ctx.r, twist)
-
-    def net_exponents(self) -> tuple[int, ...]:
-        return tuple(t - m for t, m in zip(self.twist, self.denom))
+        return cls(ctx, ctx.one(), twist)
 
     def reduce(self) -> "GermElement":
-        """Cancel f_i out of the numerator while a denominator power remains."""
+        """Cancel f_i out of the numerator while its exponent is negative."""
         num = self.num
-        denom = list(self.denom)
+        exps = list(self.exps)
         for i, f in enumerate(self.ctx.F):
-            while denom[i] > 0:
+            while exps[i] < 0:
                 q = num.divide_exact(f)
                 if q is None:
                     break
                 num = q
-                denom[i] -= 1
-        return GermElement(self.ctx, num, tuple(denom), self.twist)
+                exps[i] += 1
+        return GermElement(self.ctx, num, exps)
 
     def scale(self, p: MPoly | Scalar) -> "GermElement":
-        if isinstance(p, MPoly):
-            if p.nvars == self.ctx.r:
-                p = lift_s(p, self.ctx.n)
-            if p.nvars != self.ctx.nvars:
-                raise ValueError("scale polynomial has wrong ring")
-            num = self.num * p
-        else:
-            num = self.num * p
-        return GermElement(self.ctx, num, self.denom, self.twist)
+        """The germ times p, a polynomial in Q[x, s] or a scalar."""
+        if isinstance(p, MPoly) and p.nvars != self.ctx.nvars:
+            raise ValueError("scale polynomial has wrong ring")
+        return GermElement(self.ctx, self.num * p, self.exps)
 
     def _aligned(self, other: "GermElement") -> tuple[MPoly, MPoly, tuple[int, ...]]:
-        """Numerators over a common frame; returns (p, q, net exponent)."""
+        """Numerators over a common frame; returns (p, q, frame exponents)."""
         if self.ctx != other.ctx:
             raise ValueError("germs attached to different collections")
-        e1 = self.net_exponents()
-        e2 = other.net_exponents()
-        e = tuple(min(a, b) for a, b in zip(e1, e2))
-        p = self.num * self.ctx.f_power(tuple(a - c for a, c in zip(e1, e)))
-        q = other.num * self.ctx.f_power(tuple(b - c for b, c in zip(e2, e)))
+        e = tuple(map(min, self.exps, other.exps))
+        p = self.num * self.ctx.f_power(tuple(map(sub, self.exps, e)))
+        q = other.num * self.ctx.f_power(tuple(map(sub, other.exps, e)))
         return p, q, e
 
     def __add__(self, other: "GermElement") -> "GermElement":
         p, q, e = self._aligned(other)
-        denom = tuple(max(0, -x) for x in e)
-        twist = tuple(x + m for x, m in zip(e, denom))
-        return GermElement(self.ctx, p + q, denom, twist)
+        return GermElement(self.ctx, p + q, e)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GermElement):
@@ -342,24 +308,21 @@ class GermElement:
 
 
 def partial_derivative(v: GermElement, j: int) -> GermElement:
-    """d/dx_j through the twisted product, quotient rule on the f_i."""
+    """d/dx_j through the twisted product: every f_i that depends on x_j
+    loses one power, and the numerator gains the product-rule terms."""
     ctx = v.ctx
     active = [i for i in range(ctx.r) if not ctx.partials[i][j].is_zero()]
-    net = v.net_exponents()
     num = v.num.derivative(j)
     for i in active:
         num = num * ctx.F[i]
-    for pos, i in enumerate(active):
-        coeff = ctx.s_variable(i) + net[i]
-        term = v.num * ctx.partials[i][j] * coeff
+    for i in active:
+        term = v.num * ctx.partials[i][j] * (ctx.s_variable(i) + v.exps[i])
         for i2 in active:
             if i2 != i:
                 term = term * ctx.F[i2]
         num = num + term
-    denom = tuple(
-        m + (1 if i in active else 0) for i, m in enumerate(v.denom)
-    )
-    return GermElement(ctx, num, denom, v.twist).reduce()
+    exps = tuple(e - (i in active) for i, e in enumerate(v.exps))
+    return GermElement(ctx, num, exps).reduce()
 
 
 def derivative_table(
@@ -392,10 +355,8 @@ def apply(op: WeylOperator, v: GermElement) -> GermElement:
     if op.nx != ctx.n or op.ns != ctx.r:
         raise ValueError("operator shape does not match germ context")
     germ_for = derivative_table(v, partial_derivative)
-    total = GermElement(ctx, MPoly.zero(ctx.nvars), (0,) * ctx.r, v.twist)
-    for (alpha, beta), c in sorted(
-        op.terms.items(), key=lambda t: (grlex_key(t[0][1]), grlex_key(t[0][0]))
-    ):
-        mono = MPoly.monomial(ctx.nvars, tuple(alpha) + (0,) * ctx.r)
+    total = GermElement(ctx, MPoly.zero(ctx.nvars), v.exps)
+    for (alpha, beta), c in op.terms.items():
+        mono = MPoly.monomial(ctx.nvars, alpha + (0,) * ctx.r)
         total = total + germ_for(beta).scale(mono * lift_s(c, ctx.n))
     return total.reduce()

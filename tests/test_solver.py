@@ -131,7 +131,8 @@ def test_twist_validation():
 # (622, 305, 2780), (566, 185, 1280)).
 PINNED = [
     (
-        "x^2 + y^3",
+        ["x^2 + y^3"],
+        (1,),
         (3, 3, 2, 3),
         {
             "F": ["y^3 + x^2"],
@@ -142,7 +143,8 @@ PINNED = [
         [(18, 16, 93)],
     ),
     (
-        "x^3 + y^3",
+        ["x^3 + y^3"],
+        (1,),
         (4, 4, 3, 4),
         {
             "F": ["x^3 + y^3"],
@@ -153,11 +155,28 @@ PINNED = [
         },
         [(74, 61, 540)],
     ),
+    (
+        # F sharing the factor x; values recorded when a germ kept its
+        # denominator and twist apart
+        ["x", "x*y"],
+        (2, 1),
+        (4, 0, 0, 4),
+        {
+            "F": ["x", "x*y"],
+            "a": [2, 1],
+            "b": "s1^3*s2 + 3*s1^2*s2^2 + 3*s1*s2^3 + s2^4 + s1^3 + 9*s1^2*s2 "
+            "+ 15*s1*s2^2 + 7*s2^3 + 6*s1^2 + 23*s1*s2 + 17*s2^2 + 11*s1 + 17*s2 + 6",
+            "P": "dx^3*dy",
+        },
+        [(15, 16, 29)],
+    ),
 ]
 
 
-@pytest.mark.parametrize("f, box, want, sizes", PINNED, ids=[p[0] for p in PINNED])
-def test_pinned_certificates_and_system_sizes(monkeypatch, f, box, want, sizes):
+@pytest.mark.parametrize(
+    "F, a, box, want, sizes", PINNED, ids=[", ".join(p[0]) for p in PINNED]
+)
+def test_pinned_certificates_and_system_sizes(monkeypatch, F, a, box, want, sizes):
     seen = []
     nullspace = linalg.nullspace
 
@@ -166,11 +185,11 @@ def test_pinned_certificates_and_system_sizes(monkeypatch, f, box, want, sizes):
         return nullspace(rows, ncols)
 
     monkeypatch.setattr(linalg, "nullspace", spy)
-    ctx = make_ctx(["x", "y"], [f])
-    found = sample_ideal(ctx, (1,), SolveBounds(*box))
+    ctx = make_ctx(["x", "y"], F)
+    found = sample_ideal(ctx, a, SolveBounds(*box))
     assert [(name, cert.to_json_dict()) for name, cert in found] == [("mixed", want)]
     (_, cert), = found
-    assert cert.b == sp(want["b"])
+    assert cert.b == sp(want["b"], r=len(F))
     assert verify(cert)
     assert seen == sizes
 
@@ -225,9 +244,9 @@ def full_system(ctx, a, bounds):
     """The whole bounded system: every column assembled, none graded away.
 
     Returns (ucols, taus, rows): operator columns (beta, alpha, sigma) come
-    first, then one b column per tau; each column is brought to the common
-    denominator f^M of all betas, and rows are the monomials in descending
-    graded lex.
+    first, then one b column per tau; every column is written over the frame
+    f^(s - D), with D = max(0, -exps) over all betas, and rows are the
+    monomials in descending graded lex.
     """
     n, r = ctx.n, ctx.r
     betas = list(iter_monomials(n, bounds.max_operator_order))
@@ -238,7 +257,7 @@ def full_system(ctx, a, bounds):
             for _ in range(k):
                 g = partial_derivative(g, j)
         germs[beta] = g
-    M = [max([g.denom[i] for g in germs.values()] + [a[i]]) for i in range(r)]
+    D = [max([0] + [-g.exps[i] for g in germs.values()]) for i in range(r)]
     ucols = [
         (beta, alpha, sigma)
         for beta in betas
@@ -247,11 +266,11 @@ def full_system(ctx, a, bounds):
     ]
     taus = list(iter_monomials(r, bounds.max_b_degree))
     bases = {
-        beta: g.num * ctx.f_power([m - d for m, d in zip(M, g.denom)])
+        beta: g.num * ctx.f_power([d + e for d, e in zip(D, g.exps)])
         for beta, g in germs.items()
     }
     polys = [(bases[beta], alpha + sigma) for beta, alpha, sigma in ucols]
-    rhs = -ctx.f_power([m - x for m, x in zip(M, a)])
+    rhs = -ctx.f_power(D)
     polys += [(rhs, (0,) * n + tau) for tau in taus]
     rows = {}
     for col, (poly, shift) in enumerate(polys):

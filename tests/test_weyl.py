@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from bsideal.polynomials import MPoly, parse_poly
+from bsideal.polynomials import MPoly, parse_poly, s_names
 from bsideal.weyl import (
     GermContext,
     GermElement,
     WeylOperator,
     apply,
+    derivative_table,
     lift_s,
     partial_derivative,
 )
@@ -34,10 +35,10 @@ def value_at(p, point):
 def specialize_integer(v, k):
     """The germ at s = k (integer point) as a polynomial in the combined ring.
 
-    Requires k + twist - denom >= 0 so the twisted powers stay polynomial.
+    Requires k + exps >= 0 so the twisted powers stay polynomial.
     """
     ctx = v.ctx
-    net = tuple(ki + e for ki, e in zip(k, v.net_exponents()))
+    net = tuple(ki + e for ki, e in zip(k, v.exps))
     if any(e < 0 for e in net):
         raise ValueError("specialization leaves the polynomial ring")
     reps = [MPoly.variable(ctx.nvars, i) for i in range(ctx.n)] + [
@@ -90,7 +91,7 @@ def test_germ_equality_alignment():
     # x * f^s / f == f^s for f = x
     ctx = ctx1()
     plain = GermElement.power(ctx, (0,))
-    stretched = GermElement(ctx, MPoly.variable(2, 0), (1,), (0,))
+    stretched = GermElement(ctx, MPoly.variable(2, 0), (-1,))
     assert stretched == plain
 
 
@@ -175,7 +176,7 @@ def test_apply_composition_random():
 
 def test_specialize_integer_rejects_negative_net():
     ctx = ctx1()
-    germ = GermElement(ctx, MPoly.const(2, 1), (2,), (0,))
+    germ = GermElement(ctx, MPoly.const(2, 1), (-2,))
     with pytest.raises(ValueError):
         specialize_integer(germ, (1,))
 
@@ -187,3 +188,32 @@ def test_germ_twist_absorption():
     plain = GermElement.power(ctx, (0,)).scale(MPoly.variable(2, 0))
     assert shifted == plain
     assert (shifted + plain) == plain.scale(2)
+
+
+def test_context_rejects_f_outside_qx():
+    # an f_i in Q[x, s] (here the variable x of Q[x, s]) is refused
+    with pytest.raises(ValueError):
+        GermContext(["x"], ["s"], [MPoly.variable(2, 0)])
+
+
+FACTORS = ("x", "y", "x + y", "x*y + 1", "x^2 - y")
+
+
+def test_derivative_table_cancels_only_negative_exponents():
+    # random F built from shared factors: every germ of a derivative table
+    # keeps f_i in its numerator only where its exponent is >= 0
+    rng = random.Random(412)
+    for _ in range(12):
+        F = []
+        for _ in range(rng.randint(1, 3)):
+            f = parse_poly("1", ["x", "y"])
+            for _ in range(rng.randint(1, 2)):
+                f = f * parse_poly(rng.choice(FACTORS), ["x", "y"])
+            F.append(f)
+        ctx = GermContext(["x", "y"], s_names(len(F)), F)
+        a = tuple(rng.randint(0, 2) for _ in F)
+        germ_for = derivative_table(GermElement.power(ctx, a), partial_derivative)
+        for beta in [(i, j) for i in range(4) for j in range(4 - i)]:
+            g = germ_for(beta)
+            for e, f in zip(g.exps, ctx.F):
+                assert e >= 0 or g.num.divide_exact(f) is None
