@@ -13,6 +13,12 @@ variable fewer.  Candidate intercepts come from rational roots of the
 restriction of the polynomial to a deterministic line in direction L;
 they over-generate and every candidate is confirmed by exact division,
 so the factorization is complete.
+
+All of it runs in Z[s]: p = c * p~ once, with c rational and p~
+primitive, and a candidate L.s + u/v is divided out as its primitive
+form v*L.s + u.  An exact quotient of primitive polynomials is integral
+(Gauss's lemma), so the division stops at the first coefficient that the
+form's lead does not divide.
 """
 
 from __future__ import annotations
@@ -122,16 +128,63 @@ def _offsets(r: int, limit: int) -> Iterator[tuple[int, ...]]:
 
 
 def _restrict_to_line(
-    p: MPoly, offset: Sequence[int], direction: Sequence[int]
-) -> list[Scalar]:
+    terms: dict[tuple[int, ...], int], offset: Sequence[int], direction: Sequence[int]
+) -> list[int]:
     """Coefficients (ascending) of t -> p(offset + t*direction)."""
-    t = MPoly.variable(1, 0)
-    reps = [MPoly.const(1, c) + int(d) * t for c, d in zip(offset, direction)]
-    q = p.compose(reps)
-    coeffs: list[Scalar] = [0] * (q.total_degree() + 1 if not q.is_zero() else 1)
-    for e, c in q.terms.items():
-        coeffs[e[0]] = c
-    return coeffs
+    # the nonzero (j, coefficient of t^j) of (offset_i + t*direction_i)^k
+    powers: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    out = [0] * (max(map(sum, terms)) + 1)
+    for e, c in terms.items():
+        acc = {0: c}
+        for i, k in enumerate(e):
+            if k:
+                if (i, k) not in powers:
+                    o, d = offset[i], direction[i]
+                    binom = (math.comb(k, j) * o ** (k - j) * d**j for j in range(k + 1))
+                    powers[i, k] = [(j, x) for j, x in enumerate(binom) if x]
+                prod: dict[int, int] = {}
+                for j, x in acc.items():
+                    for jj, y in powers[i, k]:
+                        prod[j + jj] = prod.get(j + jj, 0) + x * y
+                acc = prod
+        for j, x in acc.items():
+            out[j] += x
+    return out
+
+
+def _divide_linear(
+    terms: dict[tuple[int, ...], int], normal: Sequence[int], const: int
+) -> dict[tuple[int, ...], int] | None:
+    """terms / (normal.s + const) in Z[s] for a primitive form, or None.
+
+    Synthetic division in the s_k with the largest |normal[k]|, over
+    Z[other s], from the top s_k-degree down; a step that does not divide
+    by normal[k] proves the quotient is not exact.
+    """
+    k = max(range(len(normal)), key=lambda i: abs(normal[i]))
+    a = normal[k]
+    rest = [(i, v) for i, v in enumerate(normal) if v and i != k]
+    rows: dict[int, dict[tuple[int, ...], int]] = {}
+    for e, c in terms.items():
+        rows.setdefault(e[k], {})[e] = c
+    quo: dict[tuple[int, ...], int] = {}
+    for d in range(max(rows, default=0), 0, -1):
+        below = rows.setdefault(d - 1, {})
+        for e, c in rows[d].items():
+            if not c:
+                continue
+            q, r = divmod(c, a)
+            if r:
+                return None
+            qe = e[:k] + (d - 1,) + e[k + 1 :]
+            quo[qe] = q
+            # the rest of the form times q lands one s_k-degree lower
+            if const:
+                below[qe] = below.get(qe, 0) - q * const
+            for i, v in rest:
+                te = qe[:i] + (qe[i] + 1,) + qe[i + 1 :]
+                below[te] = below.get(te, 0) - q * v
+    return None if any(rows.get(0, {}).values()) else quo
 
 
 def _top_slopes(top: MPoly) -> list[tuple[int, ...]]:
@@ -162,33 +215,36 @@ def extract_hyperplanes(p: MPoly) -> tuple[list[tuple[Hyperplane, int]], MPoly]:
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
     r = p.nvars
-    rem = p
+    # p = scale * rem with rem primitive; dividing by v*L.s + u scales by v
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    nums = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    g = math.gcd(*nums.values())
+    scale = Fraction(g, den)
+    rem = {e: c // g for e, c in nums.items()}
     found: dict[Hyperplane, int] = {}
+    degree = p.total_degree()
     for L in _top_slopes(p.top_form()):
-        if rem.is_constant():
+        if not degree:
             break
         # deterministic offset giving a nonzero line restriction
-        coeffs = None
-        for offset in _offsets(r, rem.total_degree() + 1):
+        for offset in _offsets(r, degree + 1):
             coeffs = _restrict_to_line(rem, offset, L)
             if any(coeffs):
                 break
-        if coeffs is None or not any(coeffs):  # pragma: no cover - rem != 0
+        else:  # pragma: no cover - rem != 0
             raise ArithmeticError("no valid line restriction found")
         ll = sum(v * v for v in L)
         lc = sum(v * c for v, c in zip(L, offset))
         for t0 in rational_roots(coeffs):
-            b = -ll * t0 - lc
-            h = Hyperplane(L, b)
-            hp = h.poly()
-            while True:
-                q = rem.divide_exact(hp)
-                if q is None:
-                    break
-                rem = q
+            h = Hyperplane(L, -ll * t0 - lc)
+            u, v = h.intercept.numerator, h.intercept.denominator
+            form = [v * x for x in L]
+            while degree and (q := _divide_linear(rem, form, u)) is not None:
+                rem, degree = q, degree - 1
+                scale *= v
                 found[h] = found.get(h, 0) + 1
     ordered = sorted(found.items(), key=lambda t: t[0].sort_key())
-    return ordered, rem
+    return ordered, MPoly(r, {e: scale * c for e, c in rem.items()})
 
 
 def check_translation_union(

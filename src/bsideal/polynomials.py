@@ -198,9 +198,6 @@ class MPoly:
                 acc[e] = get(e, 0) + c1 * c2
         return MPoly._raw(self.nvars, {e: c for e, c in acc.items() if c})
 
-    def __rmul__(self, other) -> "MPoly":
-        return self.__mul__(other)
-
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
             raise ValueError("negative power")
@@ -220,7 +217,7 @@ class MPoly:
         object.__setattr__(p, "terms", terms)
         return p
 
-    # -- calculus and substitution -----------------------------------
+    # -- calculus and reindexing -------------------------------------
 
     def derivative(self, i: int) -> "MPoly":
         acc: dict[Exponents, Scalar] = {}
@@ -230,32 +227,6 @@ class MPoly:
                 d[i] -= 1
                 acc[tuple(d)] = c * e[i]
         return MPoly._raw(self.nvars, acc)
-
-    def compose(self, replacements: Sequence["MPoly"]) -> "MPoly":
-        """Substitute variable i by replacements[i] (all over one target ring)."""
-        if len(replacements) != self.nvars:
-            raise ValueError("need one replacement per variable")
-        if not replacements:
-            tgt = 0
-        else:
-            tgt = replacements[0].nvars
-            if any(q.nvars != tgt for q in replacements):
-                raise ValueError("replacements live in different rings")
-        # per-variable power cache; the terms are summed in one dict
-        one = MPoly.const(tgt, 1)
-        powers: list[list[MPoly]] = [[one] for _ in range(self.nvars)]
-        acc: dict[Exponents, Scalar] = {}
-        for e, c in self.terms.items():
-            term = one
-            for i, k in enumerate(e):
-                if k:
-                    cache = powers[i]
-                    while len(cache) <= k:
-                        cache.append(cache[-1] * replacements[i])
-                    term = cache[k] if term is one else term * cache[k]
-            for te, tc in term.terms.items():
-                acc[te] = acc.get(te, 0) + c * tc
-        return MPoly._raw(tgt, {e: c for e, c in acc.items() if c})
 
     def embed(self, new_nvars: int, mapping: Sequence[int]) -> "MPoly":
         """Reindex variables: old variable i becomes mapping[i]."""

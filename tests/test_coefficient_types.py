@@ -1,7 +1,9 @@
 """Coefficients stay exact: int where integral, Fraction otherwise, never a
 float or a bool.  Every MPoly operation is checked against a Fraction-only
-reference written here on plain dicts."""
+reference written here on plain dicts, and the integer division by a linear
+form that hyperplane extraction uses against MPoly.divide_exact."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from bsideal.hyperplanes import _divide_linear, linear_form  # noqa: E402
 from bsideal.polynomials import MPoly  # noqa: E402
 
 NVARS = 2
@@ -42,11 +45,6 @@ def assert_int(p):
     assert all(type(c) is int for c in p.terms.values()), p.terms
 
 
-def shifted(p, offsets):
-    """p(x_1 + k_1, ..., x_n + k_n): compose with translated variables."""
-    return p.compose([MPoly.variable(p.nvars, i) + k for i, k in enumerate(offsets)])
-
-
 def ref(p):
     return {e: Fraction(c) for e, c in p.terms.items()}
 
@@ -71,13 +69,6 @@ def ref_mul(p, q):
     return clean(out)
 
 
-def ref_pow(p, k, nvars):
-    out = {(0,) * nvars: Fraction(1)}
-    for _ in range(k):
-        out = ref_mul(out, p)
-    return out
-
-
 def ref_derivative(p, i):
     out = {}
     for e, c in p.items():
@@ -85,16 +76,6 @@ def ref_derivative(p, i):
             d = list(e)
             d[i] -= 1
             out[tuple(d)] = c * e[i]
-    return out
-
-
-def ref_compose(p, reps, nvars):
-    out = {}
-    for e, c in p.items():
-        term = {(0,) * nvars: c}
-        for rep, k in zip(reps, e):
-            term = ref_mul(term, ref_pow(rep, k, nvars))
-        out = ref_add(out, term)
     return out
 
 
@@ -151,27 +132,9 @@ def test_divide_exact_matches_fraction_reference(q, d, r):
 
 
 @settings(max_examples=100, deadline=None)
-@given(ANY, st.lists(polys(INTS | FRACS, max_terms=3), min_size=NVARS, max_size=NVARS),
-       st.lists(INTS | FRACS, min_size=NVARS, max_size=NVARS))
-def test_compose_and_shift_match_fraction_reference(p, reps, offsets):
-    got = p.compose(reps)
-    assert_exact(got)
-    assert ref(got) == ref_compose(ref(p), [ref(x) for x in reps], NVARS)
-    got = shifted(p, offsets)
-    assert_exact(got)
-    lines = [
-        ref_add({tuple(int(j == i) for j in range(NVARS)): Fraction(1)}, {(0,) * NVARS: Fraction(k)})
-        for i, k in enumerate(offsets)
-    ]
-    assert ref(got) == ref_compose(ref(p), lines, NVARS)
-
-
-@settings(max_examples=100, deadline=None)
-@given(INT, INT, st.lists(polys(INTS, max_terms=3), min_size=NVARS, max_size=NVARS),
-       st.lists(INTS, min_size=NVARS, max_size=NVARS), st.integers(0, NVARS - 1))
-def test_integer_inputs_give_int_coefficients(p, q, reps, offsets, i):
-    results = [p + q, p - q, p * q, -p, p * 3, p ** 2, p.derivative(i),
-               p.compose(reps), shifted(p, offsets)]
+@given(INT, INT, st.integers(0, NVARS - 1))
+def test_integer_inputs_give_int_coefficients(p, q, i):
+    results = [p + q, p - q, p * q, -p, p * 3, p ** 2, p.derivative(i)]
     if q:
         results.append((p * q).divide_exact(q))
     for result in results:
@@ -215,3 +178,28 @@ def test_one_term_product_and_quotient_match_reference(p, m, r, p_frac, m_frac):
     else:
         assert_exact(got)
         assert ref(got) == want
+
+
+# primitive integer forms normal.s + const in three variables: zero, large
+# and mixed-sign normal entries, zero and nonzero constants
+LINEAR = st.tuples(st.lists(st.integers(-4, 4), min_size=3, max_size=3), st.integers(-5, 5))
+LINEAR = LINEAR.filter(lambda f: any(f[0]) and math.gcd(*f[0], f[1]) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(INTS, nvars=3), LINEAR, polys(INTS, nvars=3, max_terms=2))
+def test_divide_linear_matches_divide_exact(q, form, r):
+    normal, const = form
+    h = linear_form(normal, const)
+    got = _divide_linear((q * h).terms, normal, const)
+    assert got is not None
+    assert_int(MPoly(3, got))
+    assert got == q.terms
+    # a perturbed dividend: the integer division fails exactly when the
+    # rational one does, since an exact quotient by a primitive form is integral
+    p = q * h + r
+    got = _divide_linear(p.terms, normal, const)
+    want = p.divide_exact(h)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got == want.terms

@@ -103,17 +103,33 @@ def test_extract_constant_and_linear_input():
     assert rem == MPoly.const(2, 3)
 
 
-def test_extract_refactors_exactly_random():
+def test_extract_refactors_exactly_random(monkeypatch):
+    # extraction divides in integers, never through MPoly.divide_exact
+    def forbidden(self, divisor):
+        raise AssertionError("extract_hyperplanes called MPoly.divide_exact")
+
+    monkeypatch.setattr(MPoly, "divide_exact", forbidden)
+    # the graph normals of the multi-param workload: their roots on the
+    # offset-0 line of one another's slopes collide
+    graph_normals = [(0, 3, 1), (1, 1, 0), (2, 0, 1)]
     rng = random.Random(414)
-    for _ in range(25):
+    for _ in range(40):
         r = rng.randint(1, 4)
-        p = MPoly.const(r, Fraction(rng.randint(1, 3)))
+        # rational content such as 7/5 lands in the remainder
+        p = MPoly.const(r, Fraction(rng.randint(1, 9), rng.randint(1, 5)))
         built: dict[Hyperplane, int] = {}
-        for _ in range(rng.randint(1, 3)):
-            normal = tuple(rng.randint(0, 12) for _ in range(r))
-            if all(v == 0 for v in normal):
-                normal = (1,) + (0,) * (r - 1)
-            intercept = Fraction(rng.randint(1, 6), rng.randint(1, 2))
+        forms = []
+        for _ in range(rng.randint(1, 8)):
+            if forms and rng.random() < 0.3:
+                normal, intercept = rng.choice(forms)
+            elif r == 3 and rng.random() < 0.6:
+                normal, intercept = rng.choice(graph_normals), Fraction(rng.randint(1, 4))
+            else:
+                normal = tuple(rng.randint(0, 12) for _ in range(r))
+                if all(v == 0 for v in normal):
+                    normal = (1,) + (0,) * (r - 1)
+                intercept = Fraction(rng.randint(1, 6), rng.randint(1, 2))
+            forms.append((normal, intercept))
             p = p * linear_form(normal, intercept)
             h = Hyperplane.canonical(normal, intercept)
             built[h] = built.get(h, 0) + 1

@@ -53,13 +53,6 @@ def test_derivative():
     assert MPoly.const(2, 5).derivative(0).is_zero()
 
 
-def test_compose_and_shift():
-    p = P("x^2 + y")
-    q = p.compose([P("x + 1"), P("x*y")])
-    assert q == P("x^2 + 2*x + x*y + 1")
-    assert p.compose([P("x + 1"), P("y - 2")]) == P("x^2 + 2*x + y - 1")
-
-
 def test_divide_exact():
     assert P("x^2 - y^2").divide_exact(P("x - y")) == P("x + y")
     assert P("x^2 + y^2").divide_exact(P("x - y")) is None
