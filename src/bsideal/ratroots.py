@@ -1,8 +1,28 @@
-"""Exact rational roots of univariate rational polynomials.
+"""Exact rational roots of univariate rational polynomials, by p-adic lifting.
 
-Candidates come from the rational root theorem; divisor enumeration uses
-trial division plus Pollard rho so that constant terms with large smooth
-values stay cheap.  Everything is deterministic.
+The method is R. Loos, "Computing rational zeros of integral polynomials by
+p-adic expansion", SIAM J. Comput. 12 (1983).  It factors no integer, so
+its cost is polynomial in the degree and in the size of the coefficients.
+
+After denominators, content and a power of t are cleared, the integer
+polynomial q is made square-free: g = q / gcd(q, q').  The prime p is the
+first one above deg g that does not divide lc = lc(g) and at which every
+root r of g mod p is simple, g'(r) != 0 (mod p).  Newton's iteration lifts
+each such r modulo m = p^(2^k) until m > 4 max|g_i|.  The symmetric residue
+w of lc * r mod m gives the candidate w / lc, kept when g(w / lc) = 0
+exactly.
+
+Why this finds every root:
+
+- g is square-free, so its discriminant is nonzero, and only the primes
+  dividing lc times it can fail; the search for p ends.
+- A root u/v in lowest terms has v | lc.  As p does not divide lc, u/v
+  reduces to a root r of g mod p, and r is simple by the choice of p.
+- g'(r) is a unit mod p, so Newton's iteration lifts r to the unique
+  p-adic root above it, which is u/v.
+- By the Cauchy bound |u/v| < 1 + max_{i<d} |g_i / lc|, so the integer
+  lc * u/v has absolute value below 2 max|g_i| < m/2, and the symmetric
+  residue recovers it exactly.
 """
 
 from __future__ import annotations
@@ -11,87 +31,34 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-_SMALL_PRIME_BOUND = 100_000
-
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Integer polynomials are coefficient lists in ascending order, trimmed so
+# that the last entry is nonzero.
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _horner(a: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (deterministic retry schedule)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"failed to factor {n}")  # pragma: no cover
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return [c // g for c in a]
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n|; {} for n in (0, 1, -1)."""
-    n = abs(n)
-    out: dict[int, int] = {}
-    if n < 2:
-        return out
-    for p in range(2, _SMALL_PRIME_BOUND):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of |n| (n nonzero)."""
-    if n == 0:
-        raise ValueError("0 has no finite divisor list")
-    out = [1]
-    for p, k in sorted(factorize(n).items()):
-        out = [d * p**i for d in out for i in range(k + 1)]
-    return sorted(out)
+def _pdiv(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division: (Q, R) with lc(b)^k * a = Q * b + R, deg R < deg b."""
+    a, q, lb = list(a), [], b[-1]
+    for shift in reversed(range(len(a) - len(b) + 1)):
+        c = a.pop()
+        q = [c] + [lb * x for x in q]
+        a = [lb * x for x in a]
+        for i, y in enumerate(b[:-1]):
+            a[shift + i] -= c * y
+    while a and a[-1] == 0:
+        a.pop()
+    return q, a
 
 
 def rational_roots(coeffs: Sequence[Fraction | int]) -> list[Fraction]:
@@ -105,54 +72,43 @@ def rational_roots(coeffs: Sequence[Fraction | int]) -> list[Fraction]:
         cs.pop()
     if not cs:
         raise ValueError("zero polynomial")
-    if len(cs) == 1:
-        return []
-    # clear denominators and content
+    # clear denominators and content, then strip a power of t
     lcm = math.lcm(*(c.denominator for c in cs))
-    ics = [c.numerator * (lcm // c.denominator) for c in cs]
-    g = math.gcd(*ics)
-    ics = [c // g for c in ics]
-
-    roots: list[Fraction] = []
-    # strip a power of t
-    low = 0
-    while ics[low] == 0:
-        low += 1
-    if low:
-        roots.append(Fraction(0))
-        ics = ics[low:]
-    if len(ics) == 1:
-        return sorted(roots)
-
-    def is_root(u: int, v: int) -> bool:
-        # v^deg * q(u/v), by Horner in integers
+    q = _primitive([c.numerator * (lcm // c.denominator) for c in cs])
+    low = next(i for i, c in enumerate(q) if c)
+    roots = [Fraction(0)] if low else []
+    q = q[low:]
+    if len(q) == 1:
+        return roots
+    # square-free part g = q / gcd(q, q')
+    a, b = q, _primitive([i * c for i, c in enumerate(q)][1:])
+    while len(b) > 1:
+        a, b = b, _primitive(_pdiv(a, b)[1])
+    g = q if b else _primitive(_pdiv(q, a)[0])
+    dg = [i * c for i, c in enumerate(g)][1:]
+    lc = g[-1]
+    p = len(g) - 1
+    while True:
+        p += 1
+        if lc % p == 0 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+            continue
+        residues = [r for r in range(p) if _horner(g, r, p) == 0]
+        if all(_horner(dg, r, p) for r in residues):
+            break
+    bound = 4 * max(map(abs, g))
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(g, r, m) * pow(_horner(dg, r, m), -1, m)) % m
+        w = lc * r % m
+        w = w - m if 2 * w > m else w
+        k = math.gcd(w, lc)
+        u, v = w // k, lc // k
+        # v^deg * g(u/v), by Horner in integers
         acc, vk = 0, 1
-        for c in reversed(ics):
-            acc = acc * u + c * vk
-            vk *= v
-        return acc == 0
-
-    q1 = sum(ics)
-    qm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ics))
-    if q1 == 0:
-        roots.append(Fraction(1))
-    if qm1 == 0:
-        roots.append(Fraction(-1))
-
-    num_divs = divisors(ics[0])
-    den_divs = divisors(ics[-1])
-    for v in den_divs:
-        for u in num_divs:
-            if math.gcd(u, v) != 1:
-                continue
-            for su in (u, -u):
-                if su in (1, -1) and v == 1:
-                    continue  # handled by the q(+-1) shortcut
-                # root u/v forces (u - v) | q(1) and (u + v) | q(-1)
-                if q1 != 0 and (su - v == 0 or q1 % (su - v) != 0):
-                    continue
-                if qm1 != 0 and (su + v == 0 or qm1 % (su + v) != 0):
-                    continue
-                if is_root(su, v):
-                    roots.append(Fraction(su, v))
-    return sorted(set(roots))
+        for c in reversed(g):
+            acc, vk = acc * u + c * vk, vk * v
+        if acc == 0:
+            roots.append(Fraction(u, v))
+    return sorted(roots)

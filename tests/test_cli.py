@@ -360,6 +360,27 @@ def test_oversize_expression_is_refused_at_once(tmp_path, variables, F):
     assert "coefficient bits" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_plane_curve_graph_extracts_in_time(tmp_path):
+    # the resolution graph of x^4+y^5: 55 linear factors, 30 distinct roots
+    # s = -j/L; in a child process, so that a slow root finder is stopped
+    comps = [{"L": [L], "chi": chi} for L, chi in
+             [(4, 1), (5, 1), (10, 0), (15, 0), (20, -1), (1, 0)]]
+    path = write_entry(
+        tmp_path, variables=["x", "y"], F=["x^4+y^5"], tasks=["snc", "zeta"],
+        resolution_graph={"r": 1, "components": comps},
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bsideal.cli", "run", path, "--json"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == EXIT_OK
+    (entry,) = json.loads(proc.stdout)["entries"]
+    assert entry["ok"] is True
+    assert len(entry["results"]["snc"]["extracted"]) == 30
+
+
 def test_slope_bound_field_is_unknown(tmp_path, capsys):
     path = write_entry(tmp_path, slope_bound=8)
     code, out, err = run(["run", path], capsys)

@@ -40,7 +40,6 @@ UNREACHED = {
     "polynomials.MPoly.__sub__": "input-driven",
     "polynomials.MPoly.constant_value": "input-driven",
     "polynomials._Parser.error": "input-driven",
-    "ratroots._pollard_rho": "input-driven",
 }
 REASONS = {"bench-pinned", "guard", "debug", "input-driven"}
 
