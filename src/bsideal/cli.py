@@ -34,8 +34,10 @@ from typing import Any, Sequence
 
 from .hyperplanes import Hyperplane, extract_hyperplanes
 from .polynomials import (
+    MAX_PARSE_BITS,
     MPoly,
     PolyParseError,
+    exceeds_parse_bits,
     format_poly,
     parse_poly,
     s_names,
@@ -43,6 +45,7 @@ from .polynomials import (
 from .snc import (
     ResolutionGraph,
     SNCError,
+    b_element_size,
     graph_from_exponents,
     mon_zeta,
     monomial_exponents,
@@ -52,6 +55,7 @@ from .snc import (
     snc_b_element,
     snc_certificate,
     support_loci,
+    support_loci_size,
 )
 from .solver import (
     BSCertificate,
@@ -202,6 +206,18 @@ class ProblemSpec:
                 f"{where}: tasks {sorted(missing_graph)} require a resolution_graph"
             )
         self.tasks = [t for t in TASKS if t in wanted]
+        # what the graph expands to is known now: refuse it here, under the
+        # parser's rule, rather than hang multiplying it out or listing it
+        if self.graph is not None:
+            for task, size, what in (
+                ("snc", b_element_size, "b-element"),
+                ("exp-compare", support_loci_size, "support loci"),
+            ):
+                if task in wanted and exceeds_parse_bits(*size(self.graph, self.a)):
+                    raise SpecError(
+                        f"{where}: 'resolution_graph' is too large for {task}: "
+                        f"its {what} may exceed {MAX_PARSE_BITS} coefficient bits"
+                    )
 
         extra = set(data) - {
             "id", "variables", "F", "a", "bounds", "resolution_graph", "tasks",

@@ -1,13 +1,14 @@
 """Exact sparse linear algebra over the rationals.
 
 Rows are dicts mapping column index to coefficient.  Elimination runs
-fraction-free on integer rows (cross-multiplied updates, gcd-normalized)
-so intermediate values stay integral; rational answers appear only when
-solutions are read off.  `rref` is the one elimination: `nullspace` reads
-its basis off the reduced rows, and `solve` reads a particular solution
-off the nullspace of the augmented rows.  Pivot selection is
-deterministic, so reduced forms, nullspace bases, and particular solutions
-are reproducible.
+fraction-free on integer rows (cross-multiplied updates) so intermediate
+values stay integral; rational answers appear only when solutions are
+read off.  A working row's content is removed once, when it is placed as
+a pivot, not after every update.  `rref` is the one elimination:
+`nullspace` reads its basis off the reduced rows, and `solve` reads a
+particular solution off the nullspace of the augmented rows.  Pivot
+selection is deterministic, so reduced forms, nullspace bases, and
+particular solutions are reproducible.
 """
 
 from __future__ import annotations
@@ -47,7 +48,11 @@ def _normalize(row: IntRow) -> IntRow:
 
 
 def _eliminate(row: IntRow, piv: IntRow, col: int) -> IntRow:
-    """Fraction-free update: piv[col]*row - row[col]*piv, made primitive."""
+    """Fraction-free update a*row - b*piv, a/b = piv[col]/row[col] reduced.
+
+    The result keeps its content: `rref` removes it when it places the
+    row, and after each back-substitution update.
+    """
     b = row.get(col, 0)
     if not b:
         return row
@@ -61,7 +66,7 @@ def _eliminate(row: IntRow, piv: IntRow, col: int) -> IntRow:
             out[j] = s
         else:
             del out[j]
-    return _normalize(out)
+    return out
 
 
 def rref(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, IntRow]]:
@@ -73,15 +78,19 @@ def rref(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, IntRow]]:
     The forward pass visits columns in ascending order, takes the shortest
     working row holding the column as pivot row (the earliest on a tie) and
     eliminates the column from the other working rows that hold it, found
-    through a column index.  Placed rows are left alone until one
-    back-substitution pass in descending pivot order.
+    through a column index.  A working row's content is removed once, when
+    it is placed, not after each update.  Scaling a row does not change its
+    length, so neither the pivot choices nor the primitive reduced rows
+    depend on when content is removed.  Placed rows are left alone until
+    one back-substitution pass in descending pivot order, which makes each
+    updated row primitive again.
     """
     work: dict[int, IntRow] = {}
     # column -> ids of working rows that held it when listed; a row that
     # lost the column since is skipped when the column comes up
     holders: dict[int, list[int]] = {}
     for i, r in enumerate(rows):
-        nr = _normalize(clear_row(r))
+        nr = clear_row(r)
         if nr:
             work[i] = nr
             for j in nr:
@@ -92,7 +101,7 @@ def rref(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, IntRow]]:
         if not held:
             continue
         best = min(held, key=lambda i: (len(work[i]), i))
-        piv = work.pop(best)
+        piv = _normalize(work.pop(best))
         held.discard(best)
         for i in held:
             old = work[i]
@@ -114,7 +123,7 @@ def rref(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, IntRow]]:
     for col, piv in reversed(placed):
         for k in above[col]:
             c, r = placed[k]
-            placed[k] = (c, _eliminate(r, piv, col))
+            placed[k] = (c, _normalize(_eliminate(r, piv, col)))
     return placed
 
 

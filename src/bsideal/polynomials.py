@@ -345,8 +345,14 @@ def _is_digit(ch: str) -> bool:
 # The parser refuses a product or power whose result may take more than
 # this many coefficient bits (terms times bits per coefficient, both
 # bounded before multiplying): (x+y+z)^45 fits, (x+y+z)^50 and 9^30000
-# do not.
-_MAX_PARSE_BITS = 100_000
+# do not.  The CLI holds what a resolution graph expands to the same rule.
+MAX_PARSE_BITS = 100_000
+
+
+def exceeds_parse_bits(terms: int, log_height: int) -> bool:
+    """Whether terms coefficients of at most log_height + 2 bits each may
+    take more than MAX_PARSE_BITS."""
+    return terms * (log_height + 2) > MAX_PARSE_BITS
 
 
 def _log_height(p: MPoly) -> int:
@@ -443,13 +449,13 @@ class _Parser:
         k = self.integer()
         n = len(p.terms)
         # p^k has at most C(n+k-1, k) terms, which is at least k+1 for n > 1
-        terms = 1 if n < 2 else comb(n + k - 1, k) if k < _MAX_PARSE_BITS else k + 1
+        terms = 1 if n < 2 else comb(n + k - 1, k) if k < MAX_PARSE_BITS else k + 1
         self.check_size(terms, k * _log_height(p))
         return p**k
 
     def check_size(self, terms: int, log_height: int) -> None:
-        if terms * (log_height + 2) > _MAX_PARSE_BITS:
-            raise self.error(f"result may exceed {_MAX_PARSE_BITS} coefficient bits")
+        if exceeds_parse_bits(terms, log_height):
+            raise self.error(f"result may exceed {MAX_PARSE_BITS} coefficient bits")
 
     def integer(self) -> int:
         self.skip_ws()

@@ -185,6 +185,22 @@ def snc_b_element(graph: ResolutionGraph, a: Sequence[int]) -> MPoly:
     return out
 
 
+def b_element_size(graph: ResolutionGraph, a: Sequence[int]) -> tuple[int, int]:
+    """Bounds on the terms of snc_b_element(graph, a) and on log2 of its
+    height, the sum of its |coefficients|, found without multiplying.
+
+    The product of D linear factors in r variables has at most C(D + r, r)
+    terms, and its height is at most the product of the factors' heights
+    sum(L_k) + j <= sum(L_k) + L_k.a.  An inactive component has L_k.a = 0.
+    """
+    degree = log_height = 0
+    for c in graph.components:
+        la = sum(map(mul, c.weights, a))
+        degree += la
+        log_height += la * (sum(c.weights) + la).bit_length()
+    return math.comb(degree + graph.r, graph.r), log_height
+
+
 def monomial_exponents(ctx: GermContext) -> list[tuple[int, ...]] | None:
     """The x-exponents of each f_i when every f_i is a monomial with
     coefficient 1 (a pure monomial collection), else None."""
@@ -285,3 +301,11 @@ def support_loci(graph: ResolutionGraph, a: Sequence[int]) -> tuple[TorusCoset, 
     for k in support_components(graph, a):
         out.update(cosets_of_character(graph.components[k].weights, 0))
     return tuple(sorted(out, key=lambda c: c.sort_key()))
+
+
+def support_loci_size(graph: ResolutionGraph, a: Sequence[int]) -> tuple[int, int]:
+    """The number of cosets support_loci(graph, a) lists, one per c < gcd(L_k)
+    for each component k, and the bits of the largest multiplicity, which
+    bounds every entry of their characters and angles."""
+    comps = [c.weights for c in graph.components if any(map(mul, c.weights, a))]
+    return sum(math.gcd(*w) for w in comps), max(max(w) for w in comps).bit_length()

@@ -381,6 +381,36 @@ def test_plane_curve_graph_extracts_in_time(tmp_path):
     assert len(entry["results"]["snc"]["extracted"]) == 30
 
 
+@pytest.mark.parametrize(
+    "a, components, task",
+    [
+        ([1, 1], [[10**7, 1]], "snc"),
+        ([10**6, 1], [[1, 0], [0, 1]], "snc"),
+        ([1, 1], [[10**5, 10**5]], "exp-compare"),
+    ],
+    ids=["snc L=(10^7,1)", "snc a=(10^6,1)", "exp-compare L=(10^5,10^5)"],
+)
+def test_oversize_graph_is_refused_at_once(tmp_path, a, components, task):
+    # the expanded b-element, or the list of support cosets, is sized when
+    # the entry is parsed; in a child process, so that a hang is stopped
+    path = write_entry(
+        tmp_path, variables=["x", "y"], F=["x", "y"], a=a, tasks=[task],
+        bounds={"order": 2, "x_degree": 0, "s_degree": 0, "b_degree": 2},
+        resolution_graph={"r": 2, "components": [{"L": L} for L in components]},
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bsideal.cli", "run", path],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert f"too large for {task}" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_slope_bound_field_is_unknown(tmp_path, capsys):
     path = write_entry(tmp_path, slope_bound=8)
     code, out, err = run(["run", path], capsys)

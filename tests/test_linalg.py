@@ -1,11 +1,14 @@
 """Fraction-free elimination cross-checked against a dense Fraction oracle."""
 
+import math
 import random
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bsideal.linalg import clear_row, nullspace, rref, rref_rational, solve
+from bsideal.linalg import IntRow, clear_row, nullspace, rref, rref_rational, solve
 
 
 def dense_rref(rows, ncols):
@@ -217,3 +220,144 @@ def test_rref_rational_monic():
     rows = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 1: Fraction(3)}]
     red = rref_rational(rows)
     assert red == [(0, {0: Fraction(1)}), (1, {1: Fraction(1)})]
+
+
+# Reference: the elimination that makes every updated row primitive.  rref,
+# which removes a row's content only when it places the row, must give the
+# same rows, and nullspace the same basis.  Kept as first written, but for
+# the name of rref.
+
+def _normalize(row: IntRow) -> IntRow:
+    """Primitive form, leading entry positive, of a row with no zero entries."""
+    if not row:
+        return row
+    g = math.gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {j: v // g for j, v in row.items()}
+
+
+def _eliminate(row: IntRow, piv: IntRow, col: int) -> IntRow:
+    """Fraction-free update: piv[col]*row - row[col]*piv, made primitive."""
+    b = row.get(col, 0)
+    if not b:
+        return row
+    a = piv[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in piv.items():
+        s = out.get(j, 0) - b * v
+        if s:
+            out[j] = s
+        else:
+            del out[j]
+    return _normalize(out)
+
+
+def reference_rref(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, IntRow]]:
+    """Fully reduced echelon form: one row per pivot, spanning the input rows.
+
+    Returns (pivot_column, row) pairs sorted by pivot column; every row is
+    primitive with positive pivot.
+
+    The forward pass visits columns in ascending order, takes the shortest
+    working row holding the column as pivot row (the earliest on a tie) and
+    eliminates the column from the other working rows that hold it, found
+    through a column index.  Placed rows are left alone until one
+    back-substitution pass in descending pivot order.
+    """
+    work: dict[int, IntRow] = {}
+    # column -> ids of working rows that held it when listed; a row that
+    # lost the column since is skipped when the column comes up
+    holders: dict[int, list[int]] = {}
+    for i, r in enumerate(rows):
+        nr = _normalize(clear_row(r))
+        if nr:
+            work[i] = nr
+            for j in nr:
+                holders.setdefault(j, []).append(i)
+    placed: list[tuple[int, IntRow]] = []
+    for col in sorted(holders):
+        held = {i for i in holders.pop(col) if col in work.get(i, ())}
+        if not held:
+            continue
+        best = min(held, key=lambda i: (len(work[i]), i))
+        piv = work.pop(best)
+        held.discard(best)
+        for i in held:
+            old = work[i]
+            new = _eliminate(old, piv, col)
+            for j in new.keys() - old.keys():
+                holders[j].append(i)
+            if new:
+                work[i] = new
+            else:
+                del work[i]
+        placed.append((col, piv))
+    # Every placed row is zero in the earlier pivot columns, so reducing in
+    # descending pivot order never brings a pivot column back.
+    above: dict[int, list[int]] = {c: [] for c, _ in placed}
+    for k, (c, r) in enumerate(placed):
+        for j in r:
+            if j != c and j in above:
+                above[j].append(k)
+    for col, piv in reversed(placed):
+        for k in above[col]:
+            c, r = placed[k]
+            placed[k] = (c, _eliminate(r, piv, col))
+    return placed
+
+
+def reference_nullspace(rows, ncols):
+    """Kernel basis read off reference_rref, one vector per free column."""
+    reduced = reference_rref(rows)
+    pivots = {p for p, _ in reduced}
+    return [
+        {f: Fraction(1), **{p: Fraction(-r[f], r[p]) for p, r in reduced if f in r}}
+        for f in range(ncols)
+        if f not in pivots
+    ]
+
+
+ENTRIES = st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse rows over int and Fraction, with zero and duplicate rows mixed in."""
+    ncols = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), ENTRIES, max_size=4), max_size=14))
+    for _ in range(draw(st.integers(0, 3))):
+        new = dict(draw(st.sampled_from(rows))) if rows and draw(st.booleans()) else {}
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return ncols, rows
+
+
+@st.composite
+def long_row_systems(draw):
+    """One to three dense rows and a chain of two-entry rows, one starting at
+    every column but the last: the short rows are the pivots, so each dense
+    row is updated at nearly every column."""
+    ncols = draw(st.integers(4, 24))
+    nonzero = st.integers(1, 9).flatmap(lambda v: st.sampled_from((v, -v)))
+    rows = [{j: draw(nonzero) for j in range(ncols)} for _ in range(draw(st.integers(1, 3)))]
+    for j in range(ncols - 1):
+        rows.append({j: draw(nonzero), draw(st.integers(j + 1, ncols - 1)): draw(nonzero)})
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_rref_matches_reference_on_sparse_systems(system):
+    ncols, rows = system
+    assert rref(rows) == reference_rref(rows)
+    assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_row_systems())
+def test_rref_matches_reference_on_long_rows(system):
+    ncols, rows = system
+    assert rref(rows) == reference_rref(rows)
+    assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)

@@ -575,6 +575,18 @@ def test_quasi_homogeneous_closed_form(f, names, box, mu):
     assert find_bs_pair(ctx, (1,), below) is None
 
 
+def test_ungraded_deformation_of_the_cusp():
+    # x^2+y^3+x*y^2 is homogeneous for no weight (W = {0}), so the whole
+    # system is eliminated.  Its b is that of x^2+y^3, known without the
+    # solver: A2 is 3-determined, and the other critical point (-9/2, 3)
+    # has f = 27/4 != 0.
+    ctx = make_ctx(["x", "y"], ["x^2 + y^3 + x*y^2"])
+    assert ctx.weights == ()
+    cert = find_bs_pair(ctx, (1,), SolveBounds(3, 3, 3, 3))
+    assert cert.b == sp("(s + 1)*(s + 5/6)*(s + 7/6)")
+    assert cert.b == sp("s^3 + 3*s^2 + 107/36*s + 35/36")
+
+
 def test_brieskorn_pham_below_degree_of_b_f():
     # any certified b is a multiple of b_f, whose degree 5 exceeds the box
     ctx = make_ctx(["x", "y"], ["x^2 + y^5"])
