@@ -81,10 +81,6 @@ class MPoly:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "MPoly":
-        return cls(nvars)
-
-    @classmethod
     def const(cls, nvars: int, c: Scalar) -> "MPoly":
         return cls(nvars, {(0,) * nvars: c})
 
@@ -175,7 +171,7 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
             if not c:
-                return MPoly.zero(self.nvars)
+                return MPoly(self.nvars)
             return MPoly._raw(self.nvars, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -256,7 +252,7 @@ class MPoly:
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
-            return MPoly.zero(self.nvars)
+            return MPoly(self.nvars)
         if len(divisor.terms) == 1:
             ((de, dc),) = divisor.terms.items()
             quo = {}

@@ -7,7 +7,12 @@ over Q[s] such that
 
 for the fixed collection F = (f_1..f_r) and twist a.  `verify` expands both
 sides as germs and compares numerators exactly; it is the oracle every
-other routine in the package defers to.
+other routine in the package defers to.  It first multiplies b and P by
+the lcm of their coefficient denominators, so the expansion runs on int
+coefficients, and expands P . f^(s+a) in one frame (`weyl.apply`).
+`find_bs_pair` hands it the derivative table its solve filled, so the check
+of a solved certificate takes no derivative of its own; a one-argument
+`verify(cert)` derives its own germs.
 
 `find_bs_pair` searches a bounded ansatz: the identity is linear in the
 coefficients of P and b, so candidates form the nullspace of an exact
@@ -36,9 +41,10 @@ piece that is eliminated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .polynomials import MPoly, Scalar, format_poly, grlex_key, iter_monomials
@@ -104,12 +110,31 @@ class BSCertificate:
         }
 
 
-def verify(cert: BSCertificate) -> bool:
-    """Exact check of b(s) * f^s == P . f^(s+a)."""
+def _times(p: MPoly, d: int) -> MPoly:
+    """d * p with int coefficients; d is a multiple of every denominator of p."""
+    terms = {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}
+    return MPoly(p.nvars, terms)
+
+
+def verify(
+    cert: BSCertificate, germ_for: Callable[[Exps], GermElement] | None = None
+) -> bool:
+    """Exact check of b(s) * f^s == P . f^(s+a).
+
+    Both sides are multiplied by d, the lcm of the coefficient denominators
+    of b and P, so the expansion runs on int coefficients; d is nonzero, so
+    the scaled identity holds exactly when the original one does.  germ_for,
+    when given, is a derivative table of f^(s+a) whose germs the expansion
+    reuses; otherwise `apply` derives its own.
+    """
     ctx = cert.ctx
-    lhs = GermElement(ctx, lift_s(cert.b, ctx.n), (0,) * ctx.r)
-    rhs = apply(cert.P, GermElement.power(ctx, cert.a))
-    return lhs == rhs
+    b, P = cert.b, cert.P
+    d = math.lcm(*(c.denominator for p in (b, *P.terms.values()) for c in p.terms.values()))
+    if d != 1:
+        b = _times(b, d)
+        P = WeylOperator(ctx.n, ctx.r, {key: _times(c, d) for key, c in P.terms.items()})
+    lhs = GermElement(ctx, lift_s(b, ctx.n), (0,) * ctx.r)
+    return lhs == apply(P, GermElement.power(ctx, cert.a), germ_for)
 
 
 def _validate_twist(ctx: GermContext, a: Sequence[int]) -> tuple[int, ...]:
@@ -224,7 +249,8 @@ def find_bs_pair(
     P = WeylOperator(n, r, {key: MPoly(r, cs) for key, cs in coeffs.items()})
 
     cert = BSCertificate(ctx, a, b, P)
-    if not verify(cert):  # pragma: no cover - solver postcondition
+    # every beta of P is a beta of graded, so the check takes no derivative
+    if not verify(cert, germ_for):  # pragma: no cover - solver postcondition
         raise SolverError("check-failed: solved certificate does not verify")
     return cert
 

@@ -12,6 +12,12 @@ with num in Q[x, s] and e in Z^r, for a fixed collection F of nonzero
 polynomials f_i in Q[x].  Differentiation acts through the product rule,
 so each derivative lowers e_i by one for every f_i it touches; f_i is
 cancelled back out of num only while e_i is negative.
+
+`apply` expands P . v in one frame: it groups the terms of P by their
+d-monomial beta, writes every d^beta v over the frame of the smallest
+exponents once, sums the numerators and reduces once.  The d^beta v come
+from a derivative table of v, which a caller that has already filled one
+(the solver, for its own check) passes in.
 """
 
 from __future__ import annotations
@@ -281,29 +287,15 @@ class GermElement:
                 exps[i] += 1
         return GermElement(self.ctx, num, exps)
 
-    def scale(self, p: MPoly | Scalar) -> "GermElement":
-        """The germ times p, a polynomial in Q[x, s] or a scalar."""
-        if isinstance(p, MPoly) and p.nvars != self.ctx.nvars:
-            raise ValueError("scale polynomial has wrong ring")
-        return GermElement(self.ctx, self.num * p, self.exps)
-
-    def _aligned(self, other: "GermElement") -> tuple[MPoly, MPoly, tuple[int, ...]]:
-        """Numerators over a common frame; returns (p, q, frame exponents)."""
+    def __eq__(self, other) -> bool:
+        """Equal numerators once both are written over the common frame."""
+        if not isinstance(other, GermElement):
+            return NotImplemented
         if self.ctx != other.ctx:
             raise ValueError("germs attached to different collections")
         e = tuple(map(min, self.exps, other.exps))
         p = self.num * self.ctx.f_power(tuple(map(sub, self.exps, e)))
         q = other.num * self.ctx.f_power(tuple(map(sub, other.exps, e)))
-        return p, q, e
-
-    def __add__(self, other: "GermElement") -> "GermElement":
-        p, q, e = self._aligned(other)
-        return GermElement(self.ctx, p + q, e)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GermElement):
-            return NotImplemented
-        p, q, _ = self._aligned(other)
         return p == q
 
 
@@ -349,14 +341,33 @@ def derivative_table(
     return germ_for
 
 
-def apply(op: WeylOperator, v: GermElement) -> GermElement:
-    """Apply a normally ordered operator to a germ."""
+def apply(
+    op: WeylOperator,
+    v: GermElement,
+    germ_for: Callable[[Exps], GermElement] | None = None,
+) -> GermElement:
+    """Apply a normally ordered operator to a germ.
+
+    The terms of op are grouped by beta into Q_beta = sum_alpha x^alpha
+    c_(alpha,beta)(s), so op . v = sum_beta Q_beta d^beta v.  Each d^beta v
+    is brought once to the frame e = min(v.exps, exps of every d^beta v),
+    and the sum is reduced once.  germ_for, when given, is a derivative
+    table of v (beta -> d^beta v) to take the d^beta v from; otherwise
+    apply builds its own.
+    """
     ctx = v.ctx
     if op.nx != ctx.n or op.ns != ctx.r:
         raise ValueError("operator shape does not match germ context")
-    germ_for = derivative_table(v, partial_derivative)
-    total = GermElement(ctx, MPoly.zero(ctx.nvars), v.exps)
+    if germ_for is None:
+        germ_for = derivative_table(v, partial_derivative)
+    Q: dict[Exps, dict[Exps, Scalar]] = {}
     for (alpha, beta), c in op.terms.items():
-        mono = MPoly.monomial(ctx.nvars, alpha + (0,) * ctx.r)
-        total = total + germ_for(beta).scale(mono * lift_s(c, ctx.n))
-    return total.reduce()
+        q = Q.setdefault(beta, {})
+        for sigma, k in c.terms.items():
+            q[alpha + sigma] = k
+    germs = [(germ_for(beta), MPoly(ctx.nvars, q)) for beta, q in Q.items()]
+    e = tuple(map(min, zip(v.exps, *(g.exps for g, _ in germs))))
+    num = MPoly(ctx.nvars)
+    for g, q in germs:
+        num = num + q * g.num * ctx.f_power(tuple(map(sub, g.exps, e)))
+    return GermElement(ctx, num, e).reduce()

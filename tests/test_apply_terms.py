@@ -2,6 +2,7 @@
 chains between terms; the sum must still be the sum of its terms."""
 
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -24,12 +25,18 @@ OPERATORS = st.dictionaries(st.tuples(EXPS, EXPS), COEFFS, min_size=1, max_size=
 )
 
 
+def germ_sum(germs):
+    """The sum of germs, over the frame of their smallest exponents."""
+    e = tuple(map(min, zip(*(g.exps for g in germs))))
+    num = MPoly(CTX.nvars)
+    for g in germs:
+        num = num + g.num * CTX.f_power(tuple(map(sub, g.exps, e)))
+    return GermElement(CTX, num, e)
+
+
 @settings(max_examples=40, deadline=None)
 @given(OPERATORS, st.sampled_from([(1, 0), (0, 1), (1, 1)]))
 def test_apply_is_the_sum_over_one_term_operators(op, a):
     v = GermElement.power(CTX, a)
     parts = [apply(WeylOperator(2, 2, {key: c}), v) for key, c in op.terms.items()]
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    assert apply(op, v) == total
+    assert apply(op, v) == germ_sum(parts)

@@ -10,7 +10,7 @@ from operator import add, ge, mul
 
 import pytest
 
-from bsideal import linalg, solver
+from bsideal import linalg, solver, weyl
 from bsideal.cli import corpus_paths, load_specs
 from bsideal.hyperplanes import Hyperplane, extract_hyperplanes
 from bsideal.polynomials import MPoly, format_poly, grlex_key, iter_monomials, parse_poly, s_names
@@ -23,7 +23,13 @@ from bsideal.solver import (
     sample_ideal,
     verify,
 )
-from bsideal.weyl import GermContext, GermElement, WeylOperator, partial_derivative
+from bsideal.weyl import (
+    GermContext,
+    GermElement,
+    WeylOperator,
+    derivative_table,
+    partial_derivative,
+)
 
 
 def make_ctx(names, f_texts):
@@ -92,7 +98,7 @@ def test_twist_shift_identity_for_x():
     b1 = find_bs_pair(ctx, (1,), SolveBounds(1, 0, 0, 1)).b
     b2 = find_bs_pair(ctx, (2,), SolveBounds(2, 0, 0, 2)).b
     s_plus_1 = MPoly.variable(1, 0) + 1
-    b1_shifted = sum((s_plus_1 ** e[0] * c for e, c in b1.terms.items()), MPoly.zero(1))
+    b1_shifted = sum((s_plus_1 ** e[0] * c for e, c in b1.terms.items()), MPoly(1))
     assert b2 == b1 * b1_shifted
 
 
@@ -240,6 +246,31 @@ def test_sample_ideal_takes_each_germ_derivative_once(monkeypatch):
     sample_ideal(ctx, (1,), SolveBounds(4, 4, 3, 4))
     # one derivative per nonzero d-monomial of order <= 4 in two variables
     assert len(calls) == 14
+
+
+def test_solver_check_reuses_the_solve_derivatives(monkeypatch):
+    # the post-condition check expands P over the solve's own derivative
+    # table: weyl takes no derivative of its own, and the solver takes as
+    # many as before the table was shared (8 for this rung)
+    calls = {"weyl": 0, "solver": 0}
+
+    def counting(side, fn):
+        def spy(v, j):
+            calls[side] += 1
+            return fn(v, j)
+
+        return spy
+
+    monkeypatch.setattr(weyl, "partial_derivative", counting("weyl", weyl.partial_derivative))
+    monkeypatch.setattr(solver, "partial_derivative", counting("solver", solver.partial_derivative))
+    ctx = make_ctx(["x", "y"], ["x^2 + y^3"])
+    cert = find_bs_pair(ctx, (1,), SolveBounds(3, 3, 2, 3))
+    assert cert is not None
+    assert calls == {"weyl": 0, "solver": 8}
+    # a one-argument verify still derives its own germs
+    calls.update(weyl=0, solver=0)
+    assert verify(cert)
+    assert calls["weyl"] > 0 and calls["solver"] == 0
 
 
 def full_system(ctx, a, bounds):
@@ -628,3 +659,60 @@ def test_random_twists_verify():
             for j in range(1, ai + 1):
                 want = want * (MPoly.variable(2, i) + j)
         assert cert.b == want
+
+
+def own_table(cert):
+    return derivative_table(GermElement.power(cert.ctx, cert.a), partial_derivative)
+
+
+def nudged(p, key):
+    """p with its coefficient at key moved by 1/7, a denominator no
+    certificate here has, so the check's lcm scaling is not 1."""
+    terms = dict(p.terms)
+    terms[key] = terms.get(key, 0) + Fraction(1, 7)
+    return MPoly(p.nvars, terms)
+
+
+def test_verify_with_a_shared_table_matches_and_rejects_nudges():
+    # the certificates of test_random_twists_verify: verify(cert, table)
+    # agrees with verify(cert), and both reject a nudged b or P
+    rng = random.Random(412)
+    ctx = make_ctx(["x", "y"], ["x", "y"])
+    for _ in range(6):
+        a = (rng.randint(0, 2), rng.randint(0, 2))
+        if a == (0, 0):
+            a = (1, 1)
+        order = a[0] + a[1]
+        cert = find_bs_pair(ctx, a, SolveBounds(order, 0, 0, order))
+        assert verify(cert, own_table(cert)) is verify(cert) is True
+        key = next(iter(cert.P.terms))
+        bad_p = WeylOperator(2, 2, {**cert.P.terms, key: nudged(cert.P.terms[key], (0, 0))})
+        bad_b = nudged(cert.b, next(iter(cert.b.terms)))
+        for bad in (
+            BSCertificate(ctx, a, cert.b, bad_p),
+            BSCertificate(ctx, a, bad_b, cert.P),
+        ):
+            assert not verify(bad)
+            assert not verify(bad, own_table(bad))
+
+
+def test_verify_certificate_with_mixed_int_and_fraction_coefficients():
+    # f = x^2 + y^2: (s+1)^2 f^s = (dx^2 + dy^2)/4 f^(s+1), and the Euler
+    # operator x*dx + y*dy - 2(s+1) kills f^(s+1); adding 3 times it mixes
+    # int and Fraction coefficients in P
+    ctx = make_ctx(["x", "y"], ["x^2 + y^2"])
+    quarter = MPoly.const(1, Fraction(1, 4))
+    three = MPoly.const(1, 3)
+    P = WeylOperator(2, 1, {
+        ((0, 0), (2, 0)): quarter,
+        ((0, 0), (0, 2)): quarter,
+        ((1, 0), (1, 0)): three,
+        ((0, 1), (0, 1)): three,
+        ((0, 0), (0, 0)): sp("-6*s - 6"),
+    })
+    cert = BSCertificate(ctx, (1,), sp("(s + 1)^2"), P)
+    assert {type(c) for p in P.terms.values() for c in p.terms.values()} == {int, Fraction}
+    assert verify(cert) and verify(cert, own_table(cert))
+    bad = BSCertificate(ctx, (1,), cert.b, WeylOperator(2, 1, {
+        **P.terms, ((1, 0), (1, 0)): nudged(three, (0,))}))
+    assert not verify(bad) and not verify(bad, own_table(bad))
