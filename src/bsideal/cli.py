@@ -617,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="include the bundled example corpus",
     )
     run.add_argument("--json", action="store_true", help="emit the JSON report instead of text")
-    run.add_argument(
+    golden = run.add_mutually_exclusive_group()
+    golden.add_argument(
         "--check-golden",
         nargs="?",
         const="",
@@ -626,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare entry reports against DIR/<id>.golden.json "
         "(default: the bundled golden directory)",
     )
-    run.add_argument(
+    golden.add_argument(
         "--write-golden",
         metavar="DIR",
         help="write entry reports to DIR/<id>.golden.json and exit",

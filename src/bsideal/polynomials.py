@@ -16,10 +16,9 @@ then the exponent tuple lexicographically.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import comb, lcm
-from operator import add, lt, neg, sub
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -35,15 +34,6 @@ def _coerce(c: Scalar) -> Scalar:
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
     return int(c) if c.denominator == 1 else c
-
-
-def _div(a: Scalar, b: Scalar) -> Scalar:
-    """Exact a / b: an int when it divides, else a Fraction."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _coerce(Fraction(a, b))
 
 
 class MPoly:
@@ -121,12 +111,6 @@ class MPoly:
     def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in descending graded lexicographic order."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-
-    def leading(self) -> tuple[Exponents, Scalar]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
 
     # -- ring operations ---------------------------------------------
 
@@ -237,57 +221,6 @@ class MPoly:
                 ne[mapping[i]] = k
             acc[tuple(ne)] = c
         return MPoly._raw(new_nvars, acc)
-
-    # -- division -----------------------------------------------------
-
-    def divide_exact(self, divisor: "MPoly") -> "MPoly | None":
-        """Quotient self/divisor if the division is exact, else None.
-
-        A one-term divisor divides term by term.  Otherwise the remainder
-        is walked in descending graded lex order through a heap: every term
-        the division creates lies below the one being cancelled, so each
-        pop is the remainder's leading term.
-        """
-        self._check(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return MPoly(self.nvars)
-        if len(divisor.terms) == 1:
-            ((de, dc),) = divisor.terms.items()
-            quo = {}
-            for e, c in self.terms.items():
-                if any(map(lt, e, de)):
-                    return None
-                quo[tuple(map(sub, e, de))] = _div(c, dc)
-            return MPoly._raw(self.nvars, quo)
-        lead_e, lead_c = divisor.leading()
-        if any(map(lt, max(self.terms, key=grlex_key), lead_e)):
-            return None
-        rem = dict(self.terms)
-        # max-heap on graded lex: smallest (-degree, -exponents) first
-        heap = [(-sum(e), tuple(map(neg, e))) for e in rem]
-        heapq.heapify(heap)
-        quo: dict[Exponents, Scalar] = {}
-        div_rest = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
-        while heap:
-            e = tuple(map(neg, heapq.heappop(heap)[1]))
-            c = rem.pop(e)
-            if not c:  # cancelled after it was queued
-                continue
-            if any(map(lt, e, lead_e)):
-                return None
-            qe = tuple(map(sub, e, lead_e))
-            qc = quo[qe] = _div(c, lead_c)
-            for de, dc in div_rest:
-                te = tuple(map(add, qe, de))
-                old = rem.get(te)
-                if old is None:
-                    rem[te] = -qc * dc
-                    heapq.heappush(heap, (-sum(te), tuple(map(neg, te))))
-                else:
-                    rem[te] = old - qc * dc
-        return MPoly._raw(self.nvars, quo)
 
     def top_form(self) -> "MPoly":
         """Homogeneous part of highest total degree."""

@@ -10,14 +10,15 @@ A germ is a formal element
 
 with num in Q[x, s] and e in Z^r, for a fixed collection F of nonzero
 polynomials f_i in Q[x].  Differentiation acts through the product rule,
-so each derivative lowers e_i by one for every f_i it touches; f_i is
-cancelled back out of num only while e_i is negative.
+so each derivative lowers e_i by exactly one for every f_i it touches, and
+f_i is never divided back out of num: a germ is not kept in lowest terms,
+and `GermElement.__eq__` compares two germs over their common frame.
 
 `apply` expands P . v in one frame: it groups the terms of P by their
 d-monomial beta, writes every d^beta v over the frame of the smallest
-exponents once, sums the numerators and reduces once.  The d^beta v come
-from a derivative table of v, which a caller that has already filled one
-(the solver, for its own check) passes in.
+exponents once and sums the numerators.  The d^beta v come from a
+derivative table of v, which a caller that has already filled one (the
+solver, for its own check) passes in.
 """
 
 from __future__ import annotations
@@ -274,19 +275,6 @@ class GermElement:
         """The generator f^(s + twist)."""
         return cls(ctx, ctx.one(), twist)
 
-    def reduce(self) -> "GermElement":
-        """Cancel f_i out of the numerator while its exponent is negative."""
-        num = self.num
-        exps = list(self.exps)
-        for i, f in enumerate(self.ctx.F):
-            while exps[i] < 0:
-                q = num.divide_exact(f)
-                if q is None:
-                    break
-                num = q
-                exps[i] += 1
-        return GermElement(self.ctx, num, exps)
-
     def __eq__(self, other) -> bool:
         """Equal numerators once both are written over the common frame."""
         if not isinstance(other, GermElement):
@@ -301,7 +289,8 @@ class GermElement:
 
 def partial_derivative(v: GermElement, j: int) -> GermElement:
     """d/dx_j through the twisted product: every f_i that depends on x_j
-    loses one power, and the numerator gains the product-rule terms."""
+    loses exactly one power, and the numerator gains the product-rule
+    terms; nothing is cancelled."""
     ctx = v.ctx
     active = [i for i in range(ctx.r) if not ctx.partials[i][j].is_zero()]
     num = v.num.derivative(j)
@@ -314,7 +303,7 @@ def partial_derivative(v: GermElement, j: int) -> GermElement:
                 term = term * ctx.F[i2]
         num = num + term
     exps = tuple(e - (i in active) for i, e in enumerate(v.exps))
-    return GermElement(ctx, num, exps).reduce()
+    return GermElement(ctx, num, exps)
 
 
 def derivative_table(
@@ -351,9 +340,9 @@ def apply(
     The terms of op are grouped by beta into Q_beta = sum_alpha x^alpha
     c_(alpha,beta)(s), so op . v = sum_beta Q_beta d^beta v.  Each d^beta v
     is brought once to the frame e = min(v.exps, exps of every d^beta v),
-    and the sum is reduced once.  germ_for, when given, is a derivative
-    table of v (beta -> d^beta v) to take the d^beta v from; otherwise
-    apply builds its own.
+    and the sum is the numerator over that frame, not reduced further.
+    germ_for, when given, is a derivative table of v (beta -> d^beta v) to
+    take the d^beta v from; otherwise apply builds its own.
     """
     ctx = v.ctx
     if op.nx != ctx.n or op.ns != ctx.r:
@@ -370,4 +359,4 @@ def apply(
     num = MPoly(ctx.nvars)
     for g, q in germs:
         num = num + q * g.num * ctx.f_power(tuple(map(sub, g.exps, e)))
-    return GermElement(ctx, num, e).reduce()
+    return GermElement(ctx, num, e)

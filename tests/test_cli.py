@@ -139,10 +139,10 @@ def test_golden_mismatch_fails(tmp_path, capsys):
     path = write_entry(tmp_path)
     gdir = str(tmp_path / "golden")
     run(["run", path, "--write-golden", gdir], capsys)
-    gpath = os.path.join(gdir, "probe.golden.json")
-    data = json.loads(open(gpath).read())
+    gpath = tmp_path / "golden" / "probe.golden.json"
+    data = json.loads(gpath.read_text())
     data["results"]["bs-find"]["canonical_b"] = "s + 2"
-    open(gpath, "w").write(canonical_json(data))
+    gpath.write_text(canonical_json(data))
     code, out, _ = run(["run", path, "--check-golden", gdir], capsys)
     assert code == EXIT_CHECK_FAILED
     assert "MISMATCH" in out
@@ -162,8 +162,25 @@ def test_write_golden_keeps_the_exit_code(tmp_path, capsys):
     assert code == EXIT_BOUNDS
     assert out == f"wrote 1 golden file(s) to {gdir}\n"
     assert err == "error: goldens written for failing entries: probe\n"
-    golden = json.loads(open(os.path.join(gdir, "probe.golden.json")).read())
+    golden = json.loads((tmp_path / "golden" / "probe.golden.json").read_text())
     assert golden["error"] == "no-solution-within-bounds"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--write-golden", "G", "--check-golden"], ["--check-golden", "--write-golden", "G"]]
+)
+def test_write_and_check_golden_together_is_usage_error(tmp_path, capsys, monkeypatch, flags):
+    # writing the goldens would leave nothing to check against: argparse
+    # refuses the pair before any entry runs or any file is written
+    path = write_entry(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, *flags])
+    assert exc.value.code == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "not allowed with argument" in out.err
+    assert not (tmp_path / "G").exists()
 
 
 def test_write_golden_to_a_file_is_usage_error(tmp_path, capsys):

@@ -53,27 +53,6 @@ def test_derivative():
     assert MPoly.const(2, 5).derivative(0).is_zero()
 
 
-def test_divide_exact():
-    assert P("x^2 - y^2").divide_exact(P("x - y")) == P("x + y")
-    assert P("x^2 + y^2").divide_exact(P("x - y")) is None
-    assert P("x^2 + x").divide_exact(P("x")) == P("x + 1")
-
-
-def test_divide_exact_random_products():
-    rng = random.Random(402)
-    for _ in range(25):
-        def rand():
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                e = (rng.randint(0, 2), rng.randint(0, 2))
-                terms[e] = Fraction(rng.randint(-4, 4))
-            p = MPoly(2, terms)
-            return p if not p.is_zero() else MPoly.const(2, 1)
-
-        a, b = rand(), rand()
-        assert (a * b).divide_exact(b) == a
-
-
 def test_top_form():
     assert P("x^2 + y^2 + x + 1").top_form() == P("x^2 + y^2")
     assert P("3").top_form() == P("3")
