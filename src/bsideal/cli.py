@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -40,6 +41,7 @@ from .polynomials import (
     exceeds_parse_bits,
     format_poly,
     parse_poly,
+    power_size,
     s_names,
 )
 from .snc import (
@@ -153,6 +155,12 @@ class ProblemSpec:
         self.a = tuple(int(x) for x in a)
         if all(x == 0 for x in self.a):
             raise SpecError(f"{where}: 'a' must have a nonzero entry")
+        # f^a is multiplied out before any solver limit applies: size it here
+        sizes = [power_size(f, ai) for f, ai in zip(self.F, self.a)]
+        if exceeds_parse_bits(math.prod(t for t, _ in sizes), sum(h for _, h in sizes)):
+            raise SpecError(
+                f"{where}: 'a' is too large: f^a may exceed {MAX_PARSE_BITS} coefficient bits"
+            )
 
         bounds = data.get("bounds")
         if not isinstance(bounds, dict) or set(bounds) != set(BOUND_KEYS) or any(
@@ -300,7 +308,7 @@ def _hyperplanes_json(
 
 def _cosets_json(cosets) -> list[dict]:
     out = []
-    for c in sorted(set(cosets), key=lambda c: c.sort_key()):
+    for c in sorted(set(cosets)):
         d = c.to_json_dict()
         d["text"] = c.text()
         out.append(d)

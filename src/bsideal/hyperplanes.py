@@ -32,7 +32,7 @@ from .polynomials import MPoly, Scalar, format_poly, grlex_key, iter_monomials, 
 from .ratroots import rational_roots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Hyperplane:
     """L.s + intercept == 0 with L primitive integer, first nonzero entry positive."""
 
@@ -74,9 +74,6 @@ class Hyperplane:
         """The hyperplane whose zero set is this one translated by k."""
         shift = sum(v * int(x) for v, x in zip(self.normal, k))
         return Hyperplane(self.normal, self.intercept - shift)
-
-    def sort_key(self) -> tuple:
-        return (self.normal, self.intercept)
 
     def text(self) -> str:
         return format_poly(self.poly(), s_names(self.r))
@@ -243,7 +240,7 @@ def extract_hyperplanes(p: MPoly) -> tuple[list[tuple[Hyperplane, int]], MPoly]:
                 rem, degree = q, degree - 1
                 scale *= v
                 found[h] = found.get(h, 0) + 1
-    ordered = sorted(found.items(), key=lambda t: t[0].sort_key())
+    ordered = sorted(found.items())
     return ordered, MPoly(r, {e: scale * c for e, c in rem.items()})
 
 

@@ -274,7 +274,8 @@ def _is_digit(ch: str) -> bool:
 # The parser refuses a product or power whose result may take more than
 # this many coefficient bits (terms times bits per coefficient, both
 # bounded before multiplying): (x+y+z)^45 fits, (x+y+z)^50 and 9^30000
-# do not.  The CLI holds what a resolution graph expands to the same rule.
+# do not.  The CLI holds the twisted power f^a and what a resolution graph
+# expands to the same rule.
 MAX_PARSE_BITS = 100_000
 
 
@@ -292,6 +293,14 @@ def _log_height(p: MPoly) -> int:
     cs = p.terms.values()
     d = lcm(*(c.denominator for c in cs))
     return (d * sum(abs(c.numerator) * (d // c.denominator) for c in cs) - 1).bit_length()
+
+
+def power_size(p: MPoly, k: int) -> tuple[int, int]:
+    """Bounds on the number of terms and the log height of p^k."""
+    n = len(p.terms)
+    # p^k has at most C(n+k-1, k) terms, which is at least k+1 for n > 1
+    terms = 1 if n < 2 else comb(n + k - 1, k) if k < MAX_PARSE_BITS else k + 1
+    return terms, k * _log_height(p)
 
 
 class PolyParseError(ValueError):
@@ -376,10 +385,7 @@ class _Parser:
         if not self.take("^"):
             return p
         k = self.integer()
-        n = len(p.terms)
-        # p^k has at most C(n+k-1, k) terms, which is at least k+1 for n > 1
-        terms = 1 if n < 2 else comb(n + k - 1, k) if k < MAX_PARSE_BITS else k + 1
-        self.check_size(terms, k * _log_height(p))
+        self.check_size(*power_size(p, k))
         return p**k
 
     def check_size(self, terms: int, log_height: int) -> None:

@@ -228,7 +228,7 @@ def snc_certificate(ctx: GermContext, a: Sequence[int]) -> BSCertificate:
     a = tuple(a)
     b = snc_b_element(graph_from_exponents(exponents), a)  # raises on empty support
     beta = tuple(sum(map(mul, a, column)) for column in zip(*exponents))
-    return BSCertificate(ctx, a, b, WeylOperator.d_power(ctx.n, ctx.r, beta))
+    return BSCertificate(ctx, a, b, WeylOperator(ctx.n, ctx.r, {beta: ctx.one()}))
 
 
 @dataclass(frozen=True)
@@ -300,7 +300,7 @@ def support_loci(graph: ResolutionGraph, a: Sequence[int]) -> tuple[TorusCoset, 
     out: set[TorusCoset] = set()
     for k in support_components(graph, a):
         out.update(cosets_of_character(graph.components[k].weights, 0))
-    return tuple(sorted(out, key=lambda c: c.sort_key()))
+    return tuple(sorted(out))
 
 
 def support_loci_size(graph: ResolutionGraph, a: Sequence[int]) -> tuple[int, int]:

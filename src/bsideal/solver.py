@@ -132,7 +132,7 @@ def verify(
     d = math.lcm(*(c.denominator for p in (b, *P.terms.values()) for c in p.terms.values()))
     if d != 1:
         b = _times(b, d)
-        P = WeylOperator(ctx.n, ctx.r, {key: _times(c, d) for key, c in P.terms.items()})
+        P = WeylOperator(ctx.n, ctx.r, {beta: _times(q, d) for beta, q in P.terms.items()})
     lhs = GermElement(ctx, lift_s(b, ctx.n), (0,) * ctx.r)
     return lhs == apply(P, GermElement.power(ctx, cert.a), germ_for)
 
@@ -242,11 +242,12 @@ def find_bs_pair(
         return None
     b = MPoly(r, {taus[j - U]: c for j, c in vec.items() if j >= U})
 
-    coeffs: dict[tuple[Exps, Exps], dict[Exps, Scalar]] = {}
+    # column (beta, alpha, sigma) is the coefficient of x^alpha s^sigma in Q_beta
+    coeffs: dict[Exps, dict[Exps, Scalar]] = {}
     for t, (beta, alpha, sigma) in enumerate(ucols):
         if c := vec.get(t):
-            coeffs.setdefault((alpha, beta), {})[sigma] = c
-    P = WeylOperator(n, r, {key: MPoly(r, cs) for key, cs in coeffs.items()})
+            coeffs.setdefault(beta, {})[alpha + sigma] = c
+    P = WeylOperator(n, r, {beta: MPoly(n + r, q) for beta, q in coeffs.items()})
 
     cert = BSCertificate(ctx, a, b, P)
     # every beta of P is a beta of graded, so the check takes no derivative

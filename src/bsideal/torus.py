@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .hyperplanes import Hyperplane
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TorusCoset:
     """Canonical binding data lambda^v = e(theta): v nonzero with positive
     lead, theta in Q intersected with [0, 1)."""
@@ -37,9 +37,6 @@ class TorusCoset:
             v = tuple(-x for x in v)
             theta = -theta
         return cls(v, theta % 1)
-
-    def sort_key(self) -> tuple:
-        return (self.v, self.theta)
 
     def to_json_dict(self) -> dict:
         t = f"{self.theta.numerator}/{self.theta.denominator}"

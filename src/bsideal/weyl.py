@@ -2,7 +2,8 @@
 
 Operators live in the algebra generated by x_1..x_n, d_1..d_n over
 Q[s_1..s_r]; the s variables are central and d_j x_j = x_j d_j + 1.
-Operators are kept normally ordered: every term is c(s) * x^alpha * d^beta.
+Operators are kept normally ordered: P = sum_beta Q_beta(x, s) * d^beta,
+with every Q_beta in Q[x, s], the ring that germ numerators live in.
 
 A germ is a formal element
 
@@ -14,11 +15,10 @@ so each derivative lowers e_i by exactly one for every f_i it touches, and
 f_i is never divided back out of num: a germ is not kept in lowest terms,
 and `GermElement.__eq__` compares two germs over their common frame.
 
-`apply` expands P . v in one frame: it groups the terms of P by their
-d-monomial beta, writes every d^beta v over the frame of the smallest
-exponents once and sums the numerators.  The d^beta v come from a
-derivative table of v, which a caller that has already filled one (the
-solver, for its own check) passes in.
+`apply` expands P . v in one frame: it writes every d^beta v over the
+frame of the smallest exponents once and sums their numerators times
+Q_beta.  The d^beta v come from a derivative table of v, which a caller
+that has already filled one (the solver, for its own check) passes in.
 """
 
 from __future__ import annotations
@@ -39,33 +39,22 @@ def lift_s(p: MPoly, n: int) -> MPoly:
     return p.embed(n + r, [n + i for i in range(r)])
 
 
-def _coeff_poly(c: Scalar | MPoly, ns: int) -> MPoly:
-    if isinstance(c, MPoly):
-        if c.nvars != ns:
-            raise ValueError("coefficient has wrong number of s variables")
-        return c
-    return MPoly.const(ns, c)
-
-
 class WeylOperator:
-    """Normally ordered operator: sum of c(s) * x^alpha * d^beta terms."""
+    """Normally ordered operator sum_beta Q_beta * d^beta, with every Q_beta
+    in Q[x, s] (x block first), the ring of germ numerators."""
 
     __slots__ = ("nx", "ns", "terms")
 
-    def __init__(
-        self,
-        nx: int,
-        ns: int,
-        terms: dict[tuple[Exps, Exps], MPoly] | None = None,
-    ):
-        clean: dict[tuple[Exps, Exps], MPoly] = {}
+    def __init__(self, nx: int, ns: int, terms: dict[Exps, MPoly] | None = None):
+        clean: dict[Exps, MPoly] = {}
         if terms:
-            for (alpha, beta), c in terms.items():
-                if len(alpha) != nx or len(beta) != nx:
+            for beta, q in terms.items():
+                if len(beta) != nx:
                     raise ValueError("exponent tuple length mismatch")
-                c = _coeff_poly(c, ns)
-                if not c.is_zero():
-                    clean[(tuple(alpha), tuple(beta))] = c
+                if q.nvars != nx + ns:
+                    raise ValueError("Q_beta must live in Q[x, s]")
+                if not q.is_zero():
+                    clean[tuple(beta)] = q
         object.__setattr__(self, "nx", nx)
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "terms", clean)
@@ -73,28 +62,9 @@ class WeylOperator:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("WeylOperator is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def d_power(cls, nx: int, ns: int, beta: Sequence[int]) -> "WeylOperator":
-        return cls(nx, ns, {((0,) * nx, tuple(beta)): MPoly.const(ns, 1)})
-
-    # -- structure -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def order(self) -> int:
         """Highest total d-degree; -1 for the zero operator."""
-        if not self.terms:
-            return -1
-        return max(sum(beta) for _, beta in self.terms)
-
-    def sorted_terms(self) -> list[tuple[Exps, Exps, MPoly]]:
-        """Terms sorted by graded lex on (beta, alpha), descending."""
-        items = [(a, b, c) for (a, b), c in self.terms.items()]
-        items.sort(key=lambda t: (grlex_key(t[1]), grlex_key(t[0])), reverse=True)
-        return items
+        return max(map(sum, self.terms), default=-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylOperator):
@@ -103,50 +73,36 @@ class WeylOperator:
             self.nx == other.nx and self.ns == other.ns and self.terms == other.terms
         )
 
-    # -- algebra --------------------------------------------------------
-
-    def _check(self, other: "WeylOperator") -> None:
-        if self.nx != other.nx or self.ns != other.ns:
-            raise ValueError("operator shape mismatch")
-
-    def __add__(self, other: "WeylOperator") -> "WeylOperator":
-        self._check(other)
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            acc[key] = acc[key] + c if key in acc else c
-        return WeylOperator(self.nx, self.ns, acc)
-
-    def scale(self, c: Scalar | MPoly) -> "WeylOperator":
-        c = _coeff_poly(c, self.ns)
-        return WeylOperator(
-            self.nx, self.ns, {key: c * v for key, v in self.terms.items()}
-        )
-
 
 def format_operator(op: WeylOperator, x_names: Sequence[str], s_names: Sequence[str]) -> str:
-    """Canonical text form: terms by descending (beta, alpha), d_j printed as dx etc."""
-    if op.is_zero():
-        return "0"
+    """Canonical text form: each Q_beta split into c(s) * x^alpha terms,
+    printed by descending (beta, alpha) with d_j as dx etc."""
+    n = op.nx
     chunks: list[str] = []
-    for alpha, beta, c in op.sorted_terms():
-        factors = []
-        for i, k in enumerate(alpha):
-            if k:
-                factors.append(x_names[i] if k == 1 else f"{x_names[i]}^{k}")
-        for i, k in enumerate(beta):
-            if k:
-                nm = f"d{x_names[i]}"
-                factors.append(nm if k == 1 else f"{nm}^{k}")
-        ctext = format_poly(c, s_names)
-        if not factors:
-            body = f"({ctext})" if len(c.terms) > 1 else ctext
-        elif c == MPoly.const(op.ns, 1):
-            body = "*".join(factors)
-        else:
-            lead = f"({ctext})" if (len(c.terms) > 1 or ctext.startswith("-")) else ctext
-            body = "*".join([lead] + factors)
-        chunks.append(body if not chunks else f"+ {body}")
-    return " ".join(chunks)
+    for beta in sorted(op.terms, key=grlex_key, reverse=True):
+        split: dict[Exps, dict[Exps, Scalar]] = {}
+        for e, k in op.terms[beta].terms.items():
+            split.setdefault(e[:n], {})[e[n:]] = k
+        for alpha in sorted(split, key=grlex_key, reverse=True):
+            c = MPoly(op.ns, split[alpha])
+            factors = []
+            for i, k in enumerate(alpha):
+                if k:
+                    factors.append(x_names[i] if k == 1 else f"{x_names[i]}^{k}")
+            for i, k in enumerate(beta):
+                if k:
+                    nm = f"d{x_names[i]}"
+                    factors.append(nm if k == 1 else f"{nm}^{k}")
+            ctext = format_poly(c, s_names)
+            if not factors:
+                body = f"({ctext})" if len(c.terms) > 1 else ctext
+            elif c == MPoly.const(op.ns, 1):
+                body = "*".join(factors)
+            else:
+                lead = f"({ctext})" if (len(c.terms) > 1 or ctext.startswith("-")) else ctext
+                body = "*".join([lead] + factors)
+            chunks.append(body if not chunks else f"+ {body}")
+    return " ".join(chunks) or "0"
 
 
 # ---------------------------------------------------------------------
@@ -335,26 +291,21 @@ def apply(
     v: GermElement,
     germ_for: Callable[[Exps], GermElement] | None = None,
 ) -> GermElement:
-    """Apply a normally ordered operator to a germ.
+    """Apply a normally ordered operator to a germ: op . v = sum_beta
+    Q_beta d^beta v.
 
-    The terms of op are grouped by beta into Q_beta = sum_alpha x^alpha
-    c_(alpha,beta)(s), so op . v = sum_beta Q_beta d^beta v.  Each d^beta v
-    is brought once to the frame e = min(v.exps, exps of every d^beta v),
-    and the sum is the numerator over that frame, not reduced further.
-    germ_for, when given, is a derivative table of v (beta -> d^beta v) to
-    take the d^beta v from; otherwise apply builds its own.
+    Each d^beta v is brought once to the frame e = min(v.exps, exps of
+    every d^beta v), and the sum is the numerator over that frame, not
+    reduced further.  germ_for, when given, is a derivative table of v
+    (beta -> d^beta v) to take the d^beta v from; otherwise apply builds
+    its own.
     """
     ctx = v.ctx
     if op.nx != ctx.n or op.ns != ctx.r:
         raise ValueError("operator shape does not match germ context")
     if germ_for is None:
         germ_for = derivative_table(v, partial_derivative)
-    Q: dict[Exps, dict[Exps, Scalar]] = {}
-    for (alpha, beta), c in op.terms.items():
-        q = Q.setdefault(beta, {})
-        for sigma, k in c.terms.items():
-            q[alpha + sigma] = k
-    germs = [(germ_for(beta), MPoly(ctx.nvars, q)) for beta, q in Q.items()]
+    germs = [(germ_for(beta), q) for beta, q in op.terms.items()]
     e = tuple(map(min, zip(v.exps, *(g.exps for g, _ in germs))))
     num = MPoly(ctx.nvars)
     for g, q in germs:

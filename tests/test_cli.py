@@ -428,6 +428,35 @@ def test_oversize_graph_is_refused_at_once(tmp_path, a, components, task):
     assert f"too large for {task}" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "F, a, code",
+    [(["x+y+1"], [300], EXIT_USAGE), (["x*y"], [3000], EXIT_BOUNDS)],
+    ids=["(x+y+1)^300 refused", "(x*y)^3000 runs"],
+)
+def test_oversize_twist_is_refused_at_once(tmp_path, F, a, code):
+    # f^a is sized, under the parser's rule, when the entry is parsed: a
+    # many-term f refuses a large twist, a monomial one does not
+    path = write_entry(
+        tmp_path, variables=["x", "y"], F=F, a=a, tasks=["bs-find"],
+        bounds={"order": 1, "x_degree": 0, "s_degree": 0, "b_degree": 1},
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bsideal.cli", "run", path],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == EXIT_USAGE:
+        assert proc.stdout == ""
+        assert "'a' is too large" in proc.stderr
+    else:
+        assert "entry: FAILED" in proc.stdout
+
+
 def test_slope_bound_field_is_unknown(tmp_path, capsys):
     path = write_entry(tmp_path, slope_bound=8)
     code, out, err = run(["run", path], capsys)

@@ -225,13 +225,13 @@ def test_check_translation_union():
         check_translation_union(multi, single, axis=1, l=0)
 
 
-def test_sort_key_orders_by_normal_then_intercept():
+def test_sorted_orders_by_normal_then_intercept():
     hs = [
         Hyperplane((1, 1), Fraction(2)),
         Hyperplane((0, 1), Fraction(1)),
         Hyperplane((1, 1), Fraction(1)),
     ]
-    got = sorted(hs, key=Hyperplane.sort_key)
+    got = sorted(hs)
     assert got == [hs[1], hs[2], hs[0]]
 
 

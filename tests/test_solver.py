@@ -30,6 +30,7 @@ from bsideal.weyl import (
     derivative_table,
     partial_derivative,
 )
+from germ_helpers import weyl_operator
 
 
 def make_ctx(names, f_texts):
@@ -45,7 +46,7 @@ def test_classic_single_x():
     cert = find_bs_pair(ctx, (1,), SolveBounds(1, 0, 0, 1))
     assert cert is not None
     assert cert.b == sp("s + 1")
-    assert cert.P == WeylOperator.d_power(1, 1, (1,))
+    assert cert.P == weyl_operator(1, 1, {((0,), (1,)): 1})
     assert verify(cert)
 
 
@@ -53,7 +54,7 @@ def test_classic_single_x_twist_two():
     ctx = make_ctx(["x"], ["x"])
     cert = find_bs_pair(ctx, (2,), SolveBounds(2, 0, 0, 2))
     assert cert.b == sp("(s + 1)*(s + 2)")
-    assert cert.P == WeylOperator.d_power(1, 1, (2,))
+    assert cert.P == weyl_operator(1, 1, {((0,), (2,)): 1})
 
 
 def test_classic_sum_of_squares():
@@ -61,9 +62,8 @@ def test_classic_sum_of_squares():
     cert = find_bs_pair(ctx, (1,), SolveBounds(2, 0, 0, 2))
     assert cert.b == sp("(s + 1)^2")
     quarter = Fraction(1, 4)
-    laplacian_over_4 = (
-        WeylOperator.d_power(2, 1, (2, 0)).scale(quarter)
-        + WeylOperator.d_power(2, 1, (0, 2)).scale(quarter)
+    laplacian_over_4 = weyl_operator(
+        2, 1, {((0, 0), (2, 0)): quarter, ((0, 0), (0, 2)): quarter}
     )
     assert cert.P == laplacian_over_4
 
@@ -72,7 +72,7 @@ def test_classic_normal_crossing_pair():
     ctx = make_ctx(["x", "y"], ["x", "y"])
     cert = find_bs_pair(ctx, (1, 1), SolveBounds(2, 0, 0, 2))
     assert cert.b == sp("(s1 + 1)*(s2 + 1)", r=2)
-    assert cert.P == WeylOperator.d_power(2, 2, (1, 1))
+    assert cert.P == weyl_operator(2, 2, {((0, 0), (1, 1)): 1})
 
 
 def test_minimal_b_preferred_within_larger_bounds():
@@ -338,13 +338,12 @@ def full_system(ctx, a, bounds):
 
 def operator(ctx, ucols, u):
     """The Weyl operator whose coefficient at column t is u[t]."""
-    terms = {}
+    terms = []
     for t, c in u.items():
         if c:
             beta, alpha, sigma = ucols[t]
-            term = MPoly.monomial(ctx.r, sigma, c)
-            terms[(alpha, beta)] = terms[(alpha, beta)] + term if (alpha, beta) in terms else term
-    return WeylOperator(ctx.n, ctx.r, terms)
+            terms.append(((alpha, beta), MPoly.monomial(ctx.r, sigma, c)))
+    return weyl_operator(ctx.n, ctx.r, terms)
 
 
 def full_system_certificate(ctx, a, bounds):
@@ -710,7 +709,7 @@ def test_verify_with_a_shared_table_matches_and_rejects_nudges():
         cert = find_bs_pair(ctx, a, SolveBounds(order, 0, 0, order))
         assert verify(cert, own_table(cert)) is verify(cert) is True
         key = next(iter(cert.P.terms))
-        bad_p = WeylOperator(2, 2, {**cert.P.terms, key: nudged(cert.P.terms[key], (0, 0))})
+        bad_p = WeylOperator(2, 2, {**cert.P.terms, key: nudged(cert.P.terms[key], (0,) * 4)})
         bad_b = nudged(cert.b, next(iter(cert.b.terms)))
         for bad in (
             BSCertificate(ctx, a, cert.b, bad_p),
@@ -727,16 +726,17 @@ def test_verify_certificate_with_mixed_int_and_fraction_coefficients():
     ctx = make_ctx(["x", "y"], ["x^2 + y^2"])
     quarter = MPoly.const(1, Fraction(1, 4))
     three = MPoly.const(1, 3)
-    P = WeylOperator(2, 1, {
+    terms = {
         ((0, 0), (2, 0)): quarter,
         ((0, 0), (0, 2)): quarter,
         ((1, 0), (1, 0)): three,
         ((0, 1), (0, 1)): three,
         ((0, 0), (0, 0)): sp("-6*s - 6"),
-    })
+    }
+    P = weyl_operator(2, 1, terms)
     cert = BSCertificate(ctx, (1,), sp("(s + 1)^2"), P)
     assert {type(c) for p in P.terms.values() for c in p.terms.values()} == {int, Fraction}
     assert verify(cert) and verify(cert, own_table(cert))
-    bad = BSCertificate(ctx, (1,), cert.b, WeylOperator(2, 1, {
-        **P.terms, ((1, 0), (1, 0)): nudged(three, (0,))}))
+    bad = BSCertificate(ctx, (1,), cert.b, weyl_operator(2, 1, {
+        **terms, ((1, 0), (1, 0)): nudged(three, (0,))}))
     assert not verify(bad) and not verify(bad, own_table(bad))

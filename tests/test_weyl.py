@@ -19,9 +19,11 @@ from bsideal.weyl import (
     WeylOperator,
     apply,
     derivative_table,
+    format_operator,
     lift_s,
     partial_derivative,
 )
+from germ_helpers import germ_sum, weyl_operator
 
 
 def value_at(p, point):
@@ -50,16 +52,6 @@ def specialize_integer(v, k):
     return MPoly(ctx.nvars, num) * ctx.f_power(net)
 
 
-def germ_sum(*germs):
-    """The sum of germs, over the frame of their smallest exponents."""
-    ctx = germs[0].ctx
-    e = tuple(map(min, zip(*(g.exps for g in germs))))
-    num = MPoly(ctx.nvars)
-    for g in germs:
-        num = num + g.num * ctx.f_power(tuple(map(sub, g.exps, e)))
-    return GermElement(ctx, num, e)
-
-
 def scaled(germ, p):
     """The germ times p, a polynomial in Q[x, s] or a scalar."""
     return GermElement(germ.ctx, germ.num * p, germ.exps)
@@ -69,16 +61,46 @@ def test_commutator_dx_x():
     # d(x g) - x d(g) == g on a germ: the Weyl relation d x = x d + 1
     ctx = GermContext(["x"], ["s"], [parse_poly("x^2 + 1", ["x"])])
     germ = GermElement.power(ctx, (1,))
-    dx = WeylOperator.d_power(1, 1, (1,))
-    x = WeylOperator(1, 1, {((1,), (0,)): MPoly.const(1, 1)})
+    dx = weyl_operator(1, 1, {((0,), (1,)): 1})
+    x = weyl_operator(1, 1, {((1,), (0,)): 1})
     assert apply(dx, apply(x, germ)) == germ_sum(apply(x, apply(dx, germ)), germ)
 
 
 def test_order():
-    op = WeylOperator(1, 1, {((2,), (3,)): MPoly.const(1, 1)})
+    op = weyl_operator(1, 1, {((2,), (3,)): 1})
     assert op.order() == 3
-    assert WeylOperator(1, 1, {((0,), (0,)): MPoly.const(1, 5)}).order() == 0
+    assert weyl_operator(1, 1, {((0,), (0,)): 5}).order() == 0
     assert WeylOperator(1, 1).order() == -1
+
+
+def test_format_operator_splits_each_q_beta_by_alpha():
+    # Q_beta is printed as its c(s) * x^alpha terms, by descending (beta, alpha)
+    sp = lambda t: parse_poly(t, ["s"])  # noqa: E731
+    op = weyl_operator(2, 1, {
+        ((0, 0), (2, 0)): sp("1/4"),
+        ((0, 0), (0, 2)): sp("1/4"),
+        ((2, 1), (1, 0)): sp("-s"),
+        ((1, 0), (1, 0)): sp("3"),
+        ((0, 1), (1, 0)): sp("-2"),
+        ((0, 1), (0, 1)): sp("3"),
+        ((0, 0), (0, 0)): sp("-6*s - 6"),
+    })
+    assert format_operator(op, ["x", "y"], ["s"]) == (
+        "1/4*dx^2 + 1/4*dy^2 + (-s)*x^2*y*dx + 3*x*dx + (-2)*y*dx + 3*y*dy"
+        " + (-6*s - 6)"
+    )
+    assert format_operator(WeylOperator(2, 1), ["x", "y"], ["s"]) == "0"
+
+
+def test_operator_checks_shapes_and_drops_zero_q_beta():
+    one = MPoly.const(3, 1)
+    with pytest.raises(ValueError):
+        WeylOperator(2, 1, {(1,): one})
+    with pytest.raises(ValueError):
+        WeylOperator(2, 1, {(1, 0): MPoly.const(1, 1)})
+    op = WeylOperator(2, 1, {(1, 0): one, (0, 1): MPoly(3)})
+    assert op.terms == {(1, 0): one}
+    assert op == WeylOperator(2, 1, {(1, 0): one})
 
 
 def ctx1():
@@ -88,7 +110,7 @@ def ctx1():
 def test_euler_operator_reads_off_s():
     ctx = ctx1()
     germ = GermElement.power(ctx, (0,))
-    euler = WeylOperator(1, 1, {((1,), (1,)): MPoly.const(1, 1)})
+    euler = weyl_operator(1, 1, {((1,), (1,)): 1})
     s = lift_s(MPoly.variable(1, 0), 1)
     assert apply(euler, germ) == scaled(germ, s)
 
@@ -124,9 +146,10 @@ def test_apply_linearity():
             key = ((rng.randint(0, 1), rng.randint(0, 1)),
                    (rng.randint(0, 2), rng.randint(0, 1)))
             terms[key] = MPoly.const(2, Fraction(rng.randint(1, 4)))
-        p = WeylOperator(2, 2, terms)
-        q = WeylOperator.d_power(2, 2, (0, 1))
-        lhs = apply(p + q, germ)
+        d_y = (((0, 0), (0, 1)), 1)
+        p = weyl_operator(2, 2, terms)
+        q = weyl_operator(2, 2, [d_y])
+        lhs = apply(weyl_operator(2, 2, [*terms.items(), d_y]), germ)
         assert lhs == germ_sum(apply(p, germ), apply(q, germ))
 
 
@@ -134,14 +157,16 @@ def plain_apply(op, poly, svals):
     """Differentiate an honest polynomial: the no-germ oracle."""
     n = poly.nvars
     acc = MPoly(n)
-    for (alpha, beta), c in op.terms.items():
+    for beta, q in op.terms.items():
         term = poly
         for j, bj in enumerate(beta):
             for _ in range(bj):
                 term = term.derivative(j)
-        mono = MPoly.monomial(n, tuple(alpha) + (0,) * (n - len(alpha)))
-        cval = value_at(c, svals)
-        acc = acc + term * mono * cval
+        for e, c in q.terms.items():
+            alpha, sigma = e[: op.nx], e[op.nx :]
+            mono = MPoly.monomial(n, alpha + (0,) * (n - op.nx))
+            cval = value_at(MPoly.monomial(op.ns, sigma, c), svals)
+            acc = acc + term * mono * cval
     return acc
 
 
@@ -155,7 +180,7 @@ def rand_op(rng, x_max, d_max):
                       Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                       for _ in range(rng.randint(1, 3))})
         terms[key] = c if not c.is_zero() else MPoly.const(2, 1)
-    return WeylOperator(2, 2, terms)
+    return weyl_operator(2, 2, terms)
 
 
 def test_specialize_integer_matches_plain_calculus():
