@@ -28,7 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .polynomials import MPoly, Scalar, format_poly, grlex_key, iter_monomials, s_names
+from .polynomials import (
+    MPoly,
+    Scalar,
+    format_poly,
+    grlex_key,
+    iter_monomials,
+    primitive,
+    s_names,
+)
 from .ratroots import rational_roots
 
 
@@ -50,18 +58,13 @@ class Hyperplane:
     @classmethod
     def canonical(cls, normal: Sequence[Scalar], intercept: Scalar) -> "Hyperplane":
         """Scale rational (L, b) to the primitive normal form."""
-        fracs = [Fraction(v) for v in normal]
-        if all(v == 0 for v in fracs):
+        content, ints = primitive(normal)
+        first = next((v for v in ints if v), 0)
+        if not first:
             raise ValueError("normal vector must be nonzero")
-        lcm = math.lcm(*(v.denominator for v in fracs))
-        ints = [int(v * lcm) for v in fracs]
-        g = math.gcd(*ints)
-        scale = Fraction(lcm, g)
-        first = next(v for v in ints if v)
         if first < 0:
-            g = -g
-            scale = -scale
-        return cls(tuple(v // g for v in ints), Fraction(intercept) * scale)
+            content, ints = -content, tuple(-v for v in ints)
+        return cls(ints, intercept / content)
 
     @property
     def r(self) -> int:
@@ -109,12 +112,8 @@ def primitive_slopes(r: int, bound: int) -> list[tuple[int, ...]]:
     """
     out = []
     for exps in iter_monomials(r, r * bound):
-        if all(e <= bound for e in exps) and any(exps):
-            g = 0
-            for e in exps:
-                g = math.gcd(g, e)
-            if g == 1:
-                out.append(exps)
+        if all(e <= bound for e in exps) and math.gcd(*exps) == 1:
+            out.append(exps)
     return out
 
 
@@ -213,11 +212,8 @@ def extract_hyperplanes(p: MPoly) -> tuple[list[tuple[Hyperplane, int]], MPoly]:
         raise ValueError("cannot decompose the zero polynomial")
     r = p.nvars
     # p = scale * rem with rem primitive; dividing by v*L.s + u scales by v
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    nums = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    g = math.gcd(*nums.values())
-    scale = Fraction(g, den)
-    rem = {e: c // g for e, c in nums.items()}
+    scale, ints = primitive(list(p.terms.values()))
+    rem = dict(zip(p.terms, ints))
     found: dict[Hyperplane, int] = {}
     degree = p.total_degree()
     for L in _top_slopes(p.top_form()):

@@ -17,7 +17,7 @@ then the exponent tuple lexicographically.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
@@ -27,6 +27,18 @@ Scalar = int | Fraction
 
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
+
+
+def primitive(values: Sequence[Scalar]) -> tuple[Fraction, tuple[int, ...]]:
+    """The content and primitive part of a vector of rationals: a positive
+    content c and coprime ints with values[i] == c * ints[i], signs kept.
+    An all-zero or empty vector gives (1, its zeros)."""
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*nums)
+    if not g:
+        return Fraction(1), tuple(nums)
+    return Fraction(g, den), tuple(x // g for x in nums)
 
 
 def _coerce(c: Scalar) -> Scalar:

@@ -31,23 +31,20 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-# Integer polynomials are coefficient lists in ascending order, trimmed so
+from .polynomials import primitive
+
+# Integer polynomials are coefficient sequences in ascending order, trimmed so
 # that the last entry is nonzero.
 
 
-def _horner(a: list[int], x: int, m: int) -> int:
+def _horner(a: Sequence[int], x: int, m: int) -> int:
     acc = 0
     for c in reversed(a):
         acc = (acc * x + c) % m
     return acc
 
 
-def _primitive(a: list[int]) -> list[int]:
-    g = math.gcd(*a)
-    return [c // g for c in a]
-
-
-def _pdiv(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+def _pdiv(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
     """Pseudo-division: (Q, R) with lc(b)^k * a = Q * b + R, deg R < deg b."""
     a, q, lb = list(a), [], b[-1]
     for shift in reversed(range(len(a) - len(b) + 1)):
@@ -73,18 +70,17 @@ def rational_roots(coeffs: Sequence[Fraction | int]) -> list[Fraction]:
     if not cs:
         raise ValueError("zero polynomial")
     # clear denominators and content, then strip a power of t
-    lcm = math.lcm(*(c.denominator for c in cs))
-    q = _primitive([c.numerator * (lcm // c.denominator) for c in cs])
+    q = primitive(cs)[1]
     low = next(i for i, c in enumerate(q) if c)
     roots = [Fraction(0)] if low else []
     q = q[low:]
     if len(q) == 1:
         return roots
     # square-free part g = q / gcd(q, q')
-    a, b = q, _primitive([i * c for i, c in enumerate(q)][1:])
+    a, b = q, primitive([i * c for i, c in enumerate(q)][1:])[1]
     while len(b) > 1:
-        a, b = b, _primitive(_pdiv(a, b)[1])
-    g = q if b else _primitive(_pdiv(q, a)[0])
+        a, b = b, primitive(_pdiv(a, b)[1])[1]
+    g = q if b else primitive(_pdiv(q, a)[0])[1]
     dg = [i * c for i, c in enumerate(g)][1:]
     lc = g[-1]
     p = len(g) - 1
@@ -102,13 +98,12 @@ def rational_roots(coeffs: Sequence[Fraction | int]) -> list[Fraction]:
             m *= m
             r = (r - _horner(g, r, m) * pow(_horner(dg, r, m), -1, m)) % m
         w = lc * r % m
-        w = w - m if 2 * w > m else w
-        k = math.gcd(w, lc)
-        u, v = w // k, lc // k
+        root = Fraction(w - m if 2 * w > m else w, lc)
+        u, v = root.numerator, root.denominator
         # v^deg * g(u/v), by Horner in integers
         acc, vk = 0, 1
         for c in reversed(g):
             acc, vk = acc * u + c * vk, vk * v
         if acc == 0:
-            roots.append(Fraction(u, v))
+            roots.append(root)
     return sorted(roots)

@@ -27,23 +27,14 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .hyperplanes import linear_form
-from .polynomials import MPoly, format_poly, grlex_key
+from .polynomials import MPoly, format_poly, grlex_key, primitive
 from .solver import BSCertificate
 from .torus import TorusCoset, cosets_of_character
 from .weyl import GermContext, WeylOperator
 
 
-class SNCError(Exception):
-    pass
-
-
-class EmptySupportError(SNCError):
+class EmptySupportError(ValueError):
     """empty-K: no component carries an f_i with nonzero twist."""
-
-
-def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = math.gcd(*v)
-    return tuple(x // g for x in v)
 
 
 def _json_int(v, what: str) -> int:
@@ -167,7 +158,7 @@ def support_components(graph: ResolutionGraph, a: Sequence[int]) -> tuple[int, .
 def slope_set(graph: ResolutionGraph, a: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Primitive multiplicity vectors of the active components, sorted."""
     prims = {
-        _primitive(graph.components[k].weights)
+        primitive(graph.components[k].weights)[1]
         for k in support_components(graph, a)
     }
     return tuple(sorted(prims, key=grlex_key))

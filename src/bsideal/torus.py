@@ -10,12 +10,12 @@ into [0, 1), hence equal data always serializes identically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .hyperplanes import Hyperplane
+from .polynomials import primitive
 
 
 @dataclass(frozen=True, order=True)
@@ -60,11 +60,10 @@ def cosets_of_character(
     For v = g * v' with v' primitive the solution set is the disjoint union
     of the g cosets lambda^v' = e^(2*pi*i*(theta + c)/g), c = 0..g-1.
     """
-    v = tuple(int(x) for x in v)
-    g = math.gcd(*v)
-    if g == 0:
+    content, prim = primitive(v)
+    if not any(prim):
         raise ValueError("character must be nonzero")
-    prim = tuple(x // g for x in v)
+    g = content.numerator  # v is integral
     theta = Fraction(theta)
     return tuple(TorusCoset.make(prim, (theta + c) / g) for c in range(g))
 

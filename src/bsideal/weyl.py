@@ -23,12 +23,11 @@ that has already filled one (the solver, for its own check) passes in.
 
 from __future__ import annotations
 
-import math
 from operator import mul, sub
 from typing import Callable, Sequence
 
 from .linalg import nullspace
-from .polynomials import MPoly, Scalar, format_poly, grlex_key
+from .polynomials import MPoly, Scalar, format_poly, grlex_key, primitive
 
 Exps = tuple[int, ...]
 
@@ -116,7 +115,7 @@ class GermContext:
     Each f_i is given in Q[x] and must be nonzero; F stores it in the
     combined ring Q[x, s] with the x block first.
 
-    `weights` is an integer basis of the weight space
+    `weights` is a basis of primitive integer vectors of the weight space
     W = {w in Q^n : every f_i is w-homogeneous}, the kernel of the
     differences between the x-exponents of the terms of each f_i.  It is
     empty when no nonzero w grades every f_i (a constant term next to a
@@ -149,11 +148,10 @@ class GermContext:
                 {j: x - y for j, (x, y) in enumerate(zip(e, first)) if x != y}
                 for e in rest
             )
-        weights = []
-        for w in nullspace(diffs, n):
-            lcm = math.lcm(*(q.denominator for q in w.values()))
-            weights.append(tuple(int(w.get(j, 0) * lcm) for j in range(n)))
-        object.__setattr__(self, "weights", tuple(weights))
+        weights = tuple(
+            primitive([w.get(j, 0) for j in range(n)])[1] for w in nullspace(diffs, n)
+        )
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_power_cache", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard

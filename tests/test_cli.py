@@ -564,3 +564,35 @@ def test_closed_form_certificate_verified_unless_solved(spec_of, tmp_path, monke
     snc = entry["results"]["snc"]
     assert snc["certificate_verified"] is True
     assert [c.to_json_dict() for c in checked] == [snc["certificate"]]
+
+
+@pytest.mark.parametrize(
+    "spec_of, calls, matches",
+    [
+        # the entry's graph is its own exponent graph: b is the closed form's
+        (lambda tmp_path: load_specs([corpus_file("x_xy_a11")])[0], 0, True),
+        # not a monomial collection: no closed form
+        (lambda tmp_path: load_specs([corpus_file("x2y2_a1")])[0], 1, None),
+        # monomial, but the graph is blown up at the origin: L = (1), (1), (2)
+        (lambda tmp_path: load_specs([write_entry(
+            tmp_path, variables=["x", "y"], F=["x*y"], tasks=["snc"],
+            resolution_graph={"r": 1, "components": [{"L": [1]}, {"L": [1]}, {"L": [2]}]},
+        )])[0], 1, None),
+    ],
+    ids=["own-graph", "not-monomial", "blown-up-graph"],
+)
+def test_snc_builds_the_graph_b_element_only_for_another_graph(
+    spec_of, calls, matches, tmp_path, monkeypatch
+):
+    made = []
+    original = cli.snc_b_element
+
+    def counting(graph, a):
+        made.append(a)
+        return original(graph, a)
+
+    monkeypatch.setattr(cli, "snc_b_element", counting)
+    entry = EntryRunner(spec_of(tmp_path)).run()
+    assert entry["ok"] is True
+    assert len(made) == calls
+    assert entry["results"]["snc"]["certificate_b_matches_graph"] is matches

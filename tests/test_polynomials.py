@@ -13,6 +13,7 @@ from bsideal.polynomials import (
     grlex_key,
     iter_monomials,
     parse_poly,
+    primitive,
     s_names,
 )
 
@@ -151,3 +152,35 @@ def test_embed():
     p = P("x*y")
     q = p.embed(3, (0, 2))
     assert q == parse_poly("x*z", ["x", "y", "z"])
+
+
+def test_primitive_examples():
+    assert primitive([Fraction(-2, 3), 4, 0]) == (Fraction(2, 3), (-1, 6, 0))
+    assert primitive((6, -9)) == (3, (2, -3))
+    assert primitive([0, 0]) == (1, (0, 0))
+    assert primitive([]) == (1, ())
+
+
+def test_primitive_is_content_times_coprime_ints():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    value = st.one_of(
+        st.integers(-10**6, 10**6),
+        st.fractions(min_value=-50, max_value=50, max_denominator=40),
+        st.just(0),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(value, max_size=6))
+    def check(values):
+        content, ints = primitive(values)
+        assert type(content) is Fraction and content > 0
+        assert all(type(v) is int for v in ints)
+        assert [content * v for v in ints] == values
+        if any(values):
+            assert math.gcd(*ints) == 1
+        else:
+            assert content == 1
+
+    check()
