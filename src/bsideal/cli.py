@@ -47,9 +47,7 @@ from .polynomials import (
 from .snc import (
     ResolutionGraph,
     b_element_size,
-    graph_from_exponents,
     mon_zeta,
-    monomial_exponents,
     reweight,
     sabbah_specialize,
     slope_set,
@@ -394,13 +392,13 @@ class EntryRunner:
         slopes = slope_set(graph, a)
         cert = cert_verified = None
         own_graph = False
-        exps = monomial_exponents(self.spec.ctx)
-        if exps is not None:
-            cert = snc_certificate(self.spec.ctx, a)
+        found = snc_certificate(self.spec.ctx, a)
+        if found is not None:
+            cert, own = found
             # find_bs_pair returns a certificate only after verify passed
             solved = self._certs.get(a)
             cert_verified = (solved is not None and solved[1] == cert) or verify(cert)
-            own_graph = tuple(c.weights for c in graph_from_exponents(exps).components) == (
+            own_graph = tuple(c.weights for c in own.components) == (
                 tuple(c.weights for c in graph.components)
             )
         # the closed-form b reads nothing of the graph but its L_k

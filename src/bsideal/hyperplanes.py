@@ -24,12 +24,13 @@ form's lead does not divide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .polynomials import (
     MPoly,
+    Record,
     Scalar,
     format_poly,
     grlex_key,
@@ -40,20 +41,22 @@ from .polynomials import (
 from .ratroots import rational_roots
 
 
-@dataclass(frozen=True, order=True)
-class Hyperplane:
+class Hyperplane(Record):
     """L.s + intercept == 0 with L primitive integer, first nonzero entry positive."""
 
+    __slots__ = ("normal", "intercept")
+    _values = property(attrgetter(*__slots__))
     normal: tuple[int, ...]
     intercept: Fraction
 
-    def __post_init__(self):
+    def _check(self):
         if not self.normal or all(v == 0 for v in self.normal):
             raise ValueError("normal vector must be nonzero")
         first = next(v for v in self.normal if v)
         if math.gcd(*self.normal) != 1 or first < 0:
             raise ValueError("normal vector must be primitive with positive lead")
-        object.__setattr__(self, "intercept", Fraction(self.intercept))
+        if not isinstance(self.intercept, Fraction):  # Fraction(q) would copy q
+            object.__setattr__(self, "intercept", Fraction(self.intercept))
 
     @classmethod
     def canonical(cls, normal: Sequence[Scalar], intercept: Scalar) -> "Hyperplane":

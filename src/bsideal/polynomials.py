@@ -41,6 +41,50 @@ def primitive(values: Sequence[Scalar]) -> tuple[Fraction, tuple[int, ...]]:
     return Fraction(g, den), tuple(x // g for x in nums)
 
 
+_setattr = object.__setattr__  # bypasses the guards, one lookup cheaper
+
+
+class Record:
+    """Immutable value with named fields, built positionally.
+
+    A subclass lists its fields (two or more) in ``__slots__``, sets
+    ``_values = property(attrgetter(*__slots__))`` and may override
+    ``_check`` to validate them after they are set.  Equality, hashing and
+    ``<`` use the tuple of fields and hold only between objects of one
+    class, so a record hashes as that tuple does.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, v in zip(self.__slots__, values, strict=True):
+            _setattr(self, name, v)
+        self._check()
+
+    def _check(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values < other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values))
+        return f"{type(self).__name__}({fields})"
+
+
 def _coerce(c: Scalar) -> Scalar:
     """c as an int when it is integral (bools included), else the Fraction."""
     if not isinstance(c, (int, Fraction)):

@@ -22,12 +22,11 @@ the bundled corpus rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .hyperplanes import linear_form
-from .polynomials import MPoly, format_poly, grlex_key, primitive
+from .polynomials import MPoly, Record, format_poly, grlex_key, primitive
 from .solver import BSCertificate
 from .torus import TorusCoset, cosets_of_character
 from .weyl import GermContext, WeylOperator
@@ -51,24 +50,26 @@ def _known_keys(obj, keys: set[str], what: str) -> None:
         raise ValueError(f"unknown keys {sorted(extra)} in {what}")
 
 
-@dataclass(frozen=True)
-class GraphComponent:
+class GraphComponent(Record):
+    __slots__ = ("weights", "chi")
+    _values = property(attrgetter(*__slots__))
     weights: tuple[int, ...]
     chi: int
 
-    def __post_init__(self):
+    def _check(self):
         if not self.weights or all(w == 0 for w in self.weights):
             raise ValueError("component must carry at least one f_i")
-        if any(w < 0 or not isinstance(w, int) for w in self.weights):
+        if any(not isinstance(w, int) or isinstance(w, bool) or w < 0 for w in self.weights):
             raise ValueError("multiplicities must be nonnegative ints")
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
+class ResolutionGraph(Record):
+    __slots__ = ("r", "components")
+    _values = property(attrgetter(*__slots__))
     r: int
     components: tuple[GraphComponent, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if any(len(c.weights) != self.r for c in self.components):
             raise ValueError("every component needs one multiplicity per f_i")
 
@@ -206,8 +207,11 @@ def monomial_exponents(ctx: GermContext) -> list[tuple[int, ...]] | None:
     return rows
 
 
-def snc_certificate(ctx: GermContext, a: Sequence[int]) -> BSCertificate:
-    """Closed-form certificate for a pure monomial collection.
+def snc_certificate(
+    ctx: GermContext, a: Sequence[int]
+) -> tuple[BSCertificate, ResolutionGraph] | None:
+    """Closed-form certificate for a pure monomial collection, with the
+    collection's graph; None when F is not a pure monomial collection.
 
     With f_j = prod_k y_k^(l_{j,k}) and c_k = sum_j a_j l_{j,k}, the
     operator prod_k d_k^(c_k) applied to f^(s+a) produces exactly the
@@ -215,17 +219,19 @@ def snc_certificate(ctx: GermContext, a: Sequence[int]) -> BSCertificate:
     """
     exponents = monomial_exponents(ctx)
     if exponents is None:
-        raise ValueError("F is not a pure monomial collection")
+        return None
     a = tuple(a)
-    b = snc_b_element(graph_from_exponents(exponents), a)  # raises on empty support
+    graph = graph_from_exponents(exponents)
+    b = snc_b_element(graph, a)  # raises on empty support
     beta = tuple(sum(map(mul, a, column)) for column in zip(*exponents))
-    return BSCertificate(ctx, a, b, WeylOperator(ctx.n, ctx.r, {beta: ctx.one()}))
+    return BSCertificate(ctx, a, b, WeylOperator(ctx.n, ctx.r, {beta: ctx.one()})), graph
 
 
-@dataclass(frozen=True)
-class MonZeta:
+class MonZeta(Record):
     """Formal product prod (1 - t^v)^e over nonzero exponent vectors v."""
 
+    __slots__ = ("r", "factors")
+    _values = property(attrgetter(*__slots__))
     r: int
     factors: tuple[tuple[tuple[int, ...], int], ...]
 

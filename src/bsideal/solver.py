@@ -42,12 +42,11 @@ piece that is eliminated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import add, sub
+from operator import add, attrgetter, sub
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
-from .polynomials import MPoly, Scalar, format_poly, grlex_key, iter_monomials
+from .polynomials import MPoly, Record, Scalar, format_poly, grlex_key, iter_monomials
 from .weyl import (
     GermContext,
     GermElement,
@@ -78,22 +77,23 @@ class SolveCapExceeded(SolverError):
     """The bounded linear system would exceed CELL_CAP."""
 
 
-@dataclass(frozen=True)
-class SolveBounds:
+class SolveBounds(Record):
+    __slots__ = ("max_operator_order", "max_x_degree", "max_s_degree", "max_b_degree")
+    _values = property(attrgetter(*__slots__))
     max_operator_order: int
     max_x_degree: int
     max_s_degree: int
     max_b_degree: int
 
-    def __post_init__(self):
-        for name in ("max_operator_order", "max_x_degree", "max_s_degree", "max_b_degree"):
-            v = getattr(self, name)
+    def _check(self):
+        for name, v in zip(self.__slots__, self._values):
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative int")
 
 
-@dataclass(frozen=True)
-class BSCertificate:
+class BSCertificate(Record):
+    __slots__ = ("ctx", "a", "b", "P")
+    _values = property(attrgetter(*__slots__))
     ctx: GermContext
     a: tuple[int, ...]
     b: MPoly

@@ -10,19 +10,20 @@ into [0, 1), hence equal data always serializes identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .hyperplanes import Hyperplane
-from .polynomials import primitive
+from .polynomials import Record, primitive
 
 
-@dataclass(frozen=True, order=True)
-class TorusCoset:
+class TorusCoset(Record):
     """Canonical binding data lambda^v = e(theta): v nonzero with positive
     lead, theta in Q intersected with [0, 1)."""
 
+    __slots__ = ("v", "theta")
+    _values = property(attrgetter(*__slots__))
     v: tuple[int, ...]
     theta: Fraction
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from bsideal import cli, solver
+from bsideal import cli, snc, solver
 from bsideal.cli import (
     EXIT_BOUNDS,
     EXIT_CHECK_FAILED,
@@ -536,6 +536,30 @@ def test_each_twist_solved_checked_factored_once(monkeypatch):
     assert entry["ok"] is True
     assert entry["tasks"] == list(cli.TASKS)
     assert calls == {"verify": 3, "extract": 3}
+
+
+def test_snc_task_derives_the_exponent_graph_once(monkeypatch):
+    # the snc task needs the collection's exponents and exponent graph for
+    # the closed-form certificate and for the own-graph test; wherever the
+    # pipeline binds the two derivations, each runs once
+    calls = {"monomial_exponents": 0, "graph_from_exponents": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        fn = getattr(snc, name)
+        for module in (snc, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, fn))
+    (spec,) = load_specs([corpus_file("x_xy_a11")])
+    entry = EntryRunner(spec).run()
+    assert entry["ok"] is True
+    assert entry["results"]["snc"]["certificate_b_matches_graph"] is True
+    assert calls == {"monomial_exponents": 1, "graph_from_exponents": 1}
 
 
 @pytest.mark.parametrize(

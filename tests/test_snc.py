@@ -120,12 +120,12 @@ def test_monomial_exponents():
     for texts in (["x", "x + y"], ["2*x*y"], ["-x"]):
         ctx = GermContext(xy, s_names(len(texts)), [parse_poly(t, xy) for t in texts])
         assert monomial_exponents(ctx) is None
-        with pytest.raises(ValueError):
-            snc_certificate(ctx, (1,) * len(texts))
+        assert snc_certificate(ctx, (1,) * len(texts)) is None
 
 
 def test_snc_certificate_example():
-    cert = snc_certificate(monomial_ctx([[1, 0], [1, 1]]), (1, 1))
+    cert, own = snc_certificate(monomial_ctx([[1, 0], [1, 1]]), (1, 1))
+    assert own == X_XY
     assert verify(cert)
     assert cert.b == snc_b_element(X_XY, (1, 1))
     assert cert.to_json_dict()["P"] == "dx^2*dy"
@@ -143,9 +143,9 @@ def test_snc_certificate_random():
         a = tuple(rng.randint(0, 2) for _ in range(r))
         if all(x == 0 for x in a):
             a = (1,) * r
-        cert = snc_certificate(monomial_ctx(exps), a)
+        cert, g = snc_certificate(monomial_ctx(exps), a)
         assert verify(cert)
-        g = graph_from_exponents(exps)
+        assert g == graph_from_exponents(exps)
         assert cert.b == snc_b_element(g, a)
         factors, rem = extract_hyperplanes(cert.b)
         assert rem.is_constant()

@@ -33,10 +33,12 @@ UNREACHED = {
     "linalg.solve": "bench-pinned",
     "polynomials.MPoly.__setattr__": "guard",
     "polynomials.MPoly.__bool__": "guard",
+    "polynomials.Record.__setattr__": "guard",
     "weyl.WeylOperator.__setattr__": "guard",
     "weyl.GermContext.__setattr__": "guard",
     "weyl.GermElement.__setattr__": "guard",
     "polynomials.MPoly.__repr__": "debug",
+    "polynomials.Record.__repr__": "debug",
     "polynomials.MPoly.__sub__": "input-driven",
     "polynomials.MPoly.constant_value": "input-driven",
     "polynomials._Parser.error": "input-driven",
