@@ -230,7 +230,7 @@ class ProblemSpec:
         if extra:
             raise SpecError(f"{where}: unknown fields {sorted(extra)}")
 
-        self.ctx = GermContext(self.variables, s_names(self.r), self.F)
+        self.ctx = GermContext(self.variables, self.F)
         for i, ai in enumerate(self.a):
             if ai and self.ctx.invertible_power(self._axis(i)):
                 raise SpecError(
@@ -365,7 +365,7 @@ class EntryRunner:
         name, cert = self.certificate(self.spec.a)
         d = cert.to_json_dict()
         d["strategy"] = name
-        d["order"] = cert.P.order()
+        d["order"] = max(map(sum, cert.P), default=-1)
         return {"certificates": [d], "canonical_b": d["b"], "ok": True}
 
     def task_bs_verify(self) -> dict:

@@ -38,9 +38,8 @@ def clear_row(row: dict[int, Fraction | int]) -> IntRow:
 
 
 def _normalize(row: IntRow) -> IntRow:
-    """Primitive form, leading entry positive, of a row with no zero entries."""
-    if not row:
-        return row
+    """Primitive form, leading entry positive, of a nonempty row with no
+    zero entries."""
     g = math.gcd(*row.values())
     if row[min(row)] < 0:
         g = -g
@@ -48,15 +47,13 @@ def _normalize(row: IntRow) -> IntRow:
 
 
 def _eliminate(row: IntRow, piv: IntRow, col: int) -> IntRow:
-    """Fraction-free update a*row - b*piv, a/b = piv[col]/row[col] reduced.
+    """Fraction-free update a*row - b*piv, a/b = piv[col]/row[col] reduced,
+    of a row that holds col.
 
     The result keeps its content: `rref` removes it when it places the
     row, and after each back-substitution update.
     """
-    b = row.get(col, 0)
-    if not b:
-        return row
-    a = piv[col]
+    a, b = piv[col], row[col]
     g = math.gcd(a, b)
     a, b = a // g, b // g
     out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
@@ -114,7 +111,8 @@ def rref(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, IntRow]]:
                 del work[i]
         placed.append((col, piv))
     # Every placed row is zero in the earlier pivot columns, so reducing in
-    # descending pivot order never brings a pivot column back.
+    # descending pivot order never brings a pivot column back, nor takes
+    # one away: each row listed in above[col] still holds col.
     above: dict[int, list[int]] = {c: [] for c, _ in placed}
     for k, (c, r) in enumerate(placed):
         for j in r:

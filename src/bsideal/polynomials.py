@@ -264,19 +264,12 @@ class MPoly:
                 acc[tuple(d)] = c * e[i]
         return MPoly._raw(self.nvars, acc)
 
-    def embed(self, new_nvars: int, mapping: Sequence[int]) -> "MPoly":
-        """Reindex variables: old variable i becomes mapping[i]."""
-        if len(mapping) != self.nvars:
-            raise ValueError("mapping length mismatch")
-        if len(set(mapping)) != len(mapping):
-            raise ValueError("mapping must be injective")
-        acc: dict[Exponents, Scalar] = {}
-        for e, c in self.terms.items():
-            ne = [0] * new_nvars
-            for i, k in enumerate(e):
-                ne[mapping[i]] = k
-            acc[tuple(ne)] = c
-        return MPoly._raw(new_nvars, acc)
+    def padded(self, before: int, after: int) -> "MPoly":
+        """The same polynomial with `before` new variables ahead of its own
+        and `after` behind them."""
+        pre, post = (0,) * before, (0,) * after
+        terms = {pre + e + post: c for e, c in self.terms.items()}
+        return MPoly._raw(before + self.nvars + after, terms)
 
     def top_form(self) -> "MPoly":
         """Homogeneous part of highest total degree."""

@@ -29,7 +29,7 @@ from .hyperplanes import linear_form
 from .polynomials import MPoly, Record, format_poly, grlex_key, primitive
 from .solver import BSCertificate
 from .torus import TorusCoset, cosets_of_character
-from .weyl import GermContext, WeylOperator
+from .weyl import GermContext
 
 
 class EmptySupportError(ValueError):
@@ -224,7 +224,7 @@ def snc_certificate(
     graph = graph_from_exponents(exponents)
     b = snc_b_element(graph, a)  # raises on empty support
     beta = tuple(sum(map(mul, a, column)) for column in zip(*exponents))
-    return BSCertificate(ctx, a, b, WeylOperator(ctx.n, ctx.r, {beta: ctx.one()})), graph
+    return BSCertificate(ctx, a, b, {beta: ctx.one()}), graph
 
 
 class MonZeta(Record):

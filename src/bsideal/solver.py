@@ -1,7 +1,7 @@
 """Certificates for Bernstein-Sato functional equations, found and checked exactly.
 
 A certificate is a pair (b, P) with b in Q[s_1..s_r] and P a Weyl operator
-over Q[s] such that
+over Q[s], the map {beta: Q_beta} of `weyl.Operator`, such that
 
     b(s) * f^s  ==  P . f^(s + a)
 
@@ -50,11 +50,10 @@ from .polynomials import MPoly, Record, Scalar, format_poly, grlex_key, iter_mon
 from .weyl import (
     GermContext,
     GermElement,
-    WeylOperator,
+    Operator,
     apply,
     derivative_table,
     format_operator,
-    lift_s,
     partial_derivative,
 )
 
@@ -97,7 +96,7 @@ class BSCertificate(Record):
     ctx: GermContext
     a: tuple[int, ...]
     b: MPoly
-    P: WeylOperator
+    P: Operator
 
     def to_json_dict(self) -> dict:
         sn = list(self.ctx.s_vars)
@@ -129,11 +128,11 @@ def verify(
     """
     ctx = cert.ctx
     b, P = cert.b, cert.P
-    d = math.lcm(*(c.denominator for p in (b, *P.terms.values()) for c in p.terms.values()))
+    d = math.lcm(*(c.denominator for p in (b, *P.values()) for c in p.terms.values()))
     if d != 1:
         b = _times(b, d)
-        P = WeylOperator(ctx.n, ctx.r, {beta: _times(q, d) for beta, q in P.terms.items()})
-    lhs = GermElement(ctx, lift_s(b, ctx.n), (0,) * ctx.r)
+        P = {beta: _times(q, d) for beta, q in P.items()}
+    lhs = GermElement(ctx, b.padded(ctx.n, 0), (0,) * ctx.r)
     return lhs == apply(P, GermElement.power(ctx, cert.a), germ_for)
 
 
@@ -247,7 +246,7 @@ def find_bs_pair(
     for t, (beta, alpha, sigma) in enumerate(ucols):
         if c := vec.get(t):
             coeffs.setdefault(beta, {})[alpha + sigma] = c
-    P = WeylOperator(n, r, {beta: MPoly(n + r, q) for beta, q in coeffs.items()})
+    P = {beta: MPoly(n + r, q) for beta, q in coeffs.items()}
 
     cert = BSCertificate(ctx, a, b, P)
     # every beta of P is a beta of graded, so the check takes no derivative

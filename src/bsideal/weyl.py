@@ -3,7 +3,8 @@
 Operators live in the algebra generated by x_1..x_n, d_1..d_n over
 Q[s_1..s_r]; the s variables are central and d_j x_j = x_j d_j + 1.
 Operators are kept normally ordered: P = sum_beta Q_beta(x, s) * d^beta,
-with every Q_beta in Q[x, s], the ring that germ numerators live in.
+with every Q_beta in Q[x, s], the ring that germ numerators live in, and
+stored as that map {beta: Q_beta} (`Operator`).
 
 A germ is a formal element
 
@@ -27,63 +28,28 @@ from operator import mul, sub
 from typing import Callable, Sequence
 
 from .linalg import nullspace
-from .polynomials import MPoly, Scalar, format_poly, grlex_key, primitive
+from .polynomials import MPoly, Scalar, format_poly, grlex_key, primitive, s_names
 
 Exps = tuple[int, ...]
 
 
-def lift_s(p: MPoly, n: int) -> MPoly:
-    """Embed Q[s] into Q[x, s] (x block first)."""
-    r = p.nvars
-    return p.embed(n + r, [n + i for i in range(r)])
+# A normally ordered operator sum_beta Q_beta * d^beta, as the map
+# {beta: Q_beta}: each beta has length n, and each Q_beta is a nonzero
+# MPoly in Q[x, s] (x block first), the ring of germ numerators.
+Operator = dict[Exps, MPoly]
 
 
-class WeylOperator:
-    """Normally ordered operator sum_beta Q_beta * d^beta, with every Q_beta
-    in Q[x, s] (x block first), the ring of germ numerators."""
-
-    __slots__ = ("nx", "ns", "terms")
-
-    def __init__(self, nx: int, ns: int, terms: dict[Exps, MPoly] | None = None):
-        clean: dict[Exps, MPoly] = {}
-        if terms:
-            for beta, q in terms.items():
-                if len(beta) != nx:
-                    raise ValueError("exponent tuple length mismatch")
-                if q.nvars != nx + ns:
-                    raise ValueError("Q_beta must live in Q[x, s]")
-                if not q.is_zero():
-                    clean[tuple(beta)] = q
-        object.__setattr__(self, "nx", nx)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("WeylOperator is immutable")
-
-    def order(self) -> int:
-        """Highest total d-degree; -1 for the zero operator."""
-        return max(map(sum, self.terms), default=-1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylOperator):
-            return NotImplemented
-        return (
-            self.nx == other.nx and self.ns == other.ns and self.terms == other.terms
-        )
-
-
-def format_operator(op: WeylOperator, x_names: Sequence[str], s_names: Sequence[str]) -> str:
+def format_operator(op: Operator, x_names: Sequence[str], s_names: Sequence[str]) -> str:
     """Canonical text form: each Q_beta split into c(s) * x^alpha terms,
     printed by descending (beta, alpha) with d_j as dx etc."""
-    n = op.nx
+    n, ns = len(x_names), len(s_names)
     chunks: list[str] = []
-    for beta in sorted(op.terms, key=grlex_key, reverse=True):
+    for beta in sorted(op, key=grlex_key, reverse=True):
         split: dict[Exps, dict[Exps, Scalar]] = {}
-        for e, k in op.terms[beta].terms.items():
+        for e, k in op[beta].terms.items():
             split.setdefault(e[:n], {})[e[n:]] = k
         for alpha in sorted(split, key=grlex_key, reverse=True):
-            c = MPoly(op.ns, split[alpha])
+            c = MPoly(ns, split[alpha])
             factors = []
             for i, k in enumerate(alpha):
                 if k:
@@ -95,7 +61,7 @@ def format_operator(op: WeylOperator, x_names: Sequence[str], s_names: Sequence[
             ctext = format_poly(c, s_names)
             if not factors:
                 body = f"({ctext})" if len(c.terms) > 1 else ctext
-            elif c == MPoly.const(op.ns, 1):
+            elif c == MPoly.const(ns, 1):
                 body = "*".join(factors)
             else:
                 lead = f"({ctext})" if (len(c.terms) > 1 or ctext.startswith("-")) else ctext
@@ -113,7 +79,8 @@ class GermContext:
     """Fixed data shared by germs: variable names and the collection F.
 
     Each f_i is given in Q[x] and must be nonzero; F stores it in the
-    combined ring Q[x, s] with the x block first.
+    combined ring Q[x, s] with the x block first, and f_i^(s_i + e_i)
+    carries the i-th name of `s_names(len(F))`.
 
     `weights` is a basis of primitive integer vectors of the weight space
     W = {w in Q^n : every f_i is w-homogeneous}, the kernel of the
@@ -124,17 +91,15 @@ class GermContext:
 
     __slots__ = ("x_names", "s_vars", "F", "partials", "weights", "_power_cache")
 
-    def __init__(self, x_names: Sequence[str], s_vars: Sequence[str], F: Sequence[MPoly]):
-        n, r = len(x_names), len(s_vars)
+    def __init__(self, x_names: Sequence[str], F: Sequence[MPoly]):
+        n, r = len(x_names), len(F)
         if any(f.nvars != n for f in F):
             raise ValueError("f_i must live in Q[x]")
         if any(f.is_zero() for f in F):
             raise ValueError("f_i must be nonzero")
-        if len(F) != r:
-            raise ValueError("need exactly one f_i per s variable")
-        lifted = tuple(f.embed(n + r, list(range(n))) for f in F)
+        lifted = tuple(f.padded(0, r) for f in F)
         object.__setattr__(self, "x_names", tuple(x_names))
-        object.__setattr__(self, "s_vars", tuple(s_vars))
+        object.__setattr__(self, "s_vars", tuple(s_names(r)))
         object.__setattr__(self, "F", lifted)
         object.__setattr__(
             self,
@@ -285,7 +250,7 @@ def derivative_table(
 
 
 def apply(
-    op: WeylOperator,
+    op: Operator,
     v: GermElement,
     germ_for: Callable[[Exps], GermElement] | None = None,
 ) -> GermElement:
@@ -299,11 +264,9 @@ def apply(
     its own.
     """
     ctx = v.ctx
-    if op.nx != ctx.n or op.ns != ctx.r:
-        raise ValueError("operator shape does not match germ context")
     if germ_for is None:
         germ_for = derivative_table(v, partial_derivative)
-    germs = [(germ_for(beta), q) for beta, q in op.terms.items()]
+    germs = [(germ_for(beta), q) for beta, q in op.items()]
     e = tuple(map(min, zip(v.exps, *(g.exps for g, _ in germs))))
     num = MPoly(ctx.nvars)
     for g, q in germs:

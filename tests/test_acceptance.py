@@ -15,7 +15,7 @@ from bsideal.hyperplanes import (
     check_translation_union,
     extract_hyperplanes,
 )
-from bsideal.polynomials import MPoly, parse_poly, s_names
+from bsideal.polynomials import MPoly, parse_poly
 from bsideal.snc import (
     graph_from_exponents,
     mon_zeta,
@@ -37,8 +37,7 @@ def verdict(label, ok):
 
 
 def make_ctx(names, f_texts):
-    F = [parse_poly(t, list(names)) for t in f_texts]
-    return GermContext(names, s_names(len(F)), F)
+    return GermContext(names, [parse_poly(t, list(names)) for t in f_texts])
 
 
 def make_spec(sid, variables, F, a, order, graph=None):
@@ -160,7 +159,7 @@ def test_c04_snc_formula_consistency():
             continue
         graph = graph_from_exponents(mat)
         names = ["x", "y", "z"][:n]
-        ctx = GermContext(names, s_names(r), [MPoly.monomial(n, row) for row in mat])
+        ctx = GermContext(names, [MPoly.monomial(n, row) for row in mat])
         cert, own = snc_certificate(ctx, a)
         ok = ok and own == graph
         ok = ok and verify(cert) and cert.b == snc_b_element(graph, a)

@@ -105,6 +105,13 @@ def test_corpus_runs_clean(capsys):
     assert "total: 9 entries; ok" in out
 
 
+def test_corpus_text_report_is_pinned(capsys):
+    # the JSON goldens pin --json; this pins the text report byte for byte
+    code, out, err = run(["run", "--seed-corpus"], capsys)
+    with open(os.path.join(os.path.dirname(__file__), "corpus_report.txt"), "rb") as fh:
+        assert (code, out.encode("utf-8"), err) == (EXIT_OK, fh.read(), "")
+
+
 def test_corpus_byte_deterministic(capsys):
     _, out1, _ = run(["run", "--seed-corpus", "--json"], capsys)
     _, out2, _ = run(["run", "--seed-corpus", "--json"], capsys)

@@ -148,10 +148,12 @@ def test_s_names():
     assert s_names(3) == ["s1", "s2", "s3"]
 
 
-def test_embed():
+def test_padded():
     p = P("x*y")
-    q = p.embed(3, (0, 2))
-    assert q == parse_poly("x*z", ["x", "y", "z"])
+    names = ["w", "x", "y", "z"]
+    assert p.padded(1, 1) == parse_poly("x*y", names)
+    assert p.padded(2, 0) == parse_poly("y*z", names)
+    assert p.padded(0, 2) == parse_poly("w*x", names)
 
 
 def test_primitive_examples():

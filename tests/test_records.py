@@ -15,7 +15,7 @@ import pytest
 
 import bsideal
 from bsideal.hyperplanes import Hyperplane
-from bsideal.polynomials import MPoly, s_names
+from bsideal.polynomials import MPoly
 from bsideal.snc import GraphComponent, MonZeta, ResolutionGraph, snc_certificate
 from bsideal.solver import BSCertificate, SolveBounds
 from bsideal.torus import TorusCoset
@@ -27,7 +27,7 @@ def fields(record):
 
 
 def certificate():
-    ctx = GermContext(["x", "y"], s_names(2), [MPoly.monomial(2, (1, 0)), MPoly.monomial(2, (1, 1))])
+    ctx = GermContext(["x", "y"], [MPoly.monomial(2, (1, 0)), MPoly.monomial(2, (1, 1))])
     cert, _ = snc_certificate(ctx, (1, 1))
     return cert
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bsideal.hyperplanes import extract_hyperplanes, linear_form
-from bsideal.polynomials import MPoly, parse_poly, s_names
+from bsideal.polynomials import parse_poly
 from bsideal.snc import (
     EmptySupportError,
     GraphComponent,
@@ -26,6 +26,7 @@ from bsideal.snc import (
 from bsideal.solver import verify
 from bsideal.torus import TorusCoset
 from bsideal.weyl import GermContext
+from germ_helpers import monomial_ctx, random_monomial_problems
 
 
 def graph(weight_rows, chis=None):
@@ -108,17 +109,11 @@ def test_snc_b_element_frozen():
     assert snc_b_element(X_XY, (1, 0)) == linear_form((1, 1), 1)
 
 
-def monomial_ctx(exps):
-    n = len(exps[0])
-    F = [MPoly.monomial(n, row) for row in exps]
-    return GermContext(["x", "y", "z"][:n], s_names(len(exps)), F)
-
-
 def test_monomial_exponents():
     assert monomial_exponents(monomial_ctx([[1, 0], [2, 3]])) == [(1, 0), (2, 3)]
     xy = ["x", "y"]
     for texts in (["x", "x + y"], ["2*x*y"], ["-x"]):
-        ctx = GermContext(xy, s_names(len(texts)), [parse_poly(t, xy) for t in texts])
+        ctx = GermContext(xy, [parse_poly(t, xy) for t in texts])
         assert monomial_exponents(ctx) is None
         assert snc_certificate(ctx, (1,) * len(texts)) is None
 
@@ -132,17 +127,7 @@ def test_snc_certificate_example():
 
 
 def test_snc_certificate_random():
-    rng = random.Random(419)
-    for _ in range(10):
-        r = rng.randint(1, 2)
-        n = rng.randint(1, 3)
-        exps = [[rng.randint(0, 2) for _ in range(n)] for _ in range(r)]
-        for row in exps:
-            if all(v == 0 for v in row):
-                row[rng.randrange(n)] = 1
-        a = tuple(rng.randint(0, 2) for _ in range(r))
-        if all(x == 0 for x in a):
-            a = (1,) * r
+    for exps, a in random_monomial_problems():
         cert, g = snc_certificate(monomial_ctx(exps), a)
         assert verify(cert)
         assert g == graph_from_exponents(exps)

@@ -14,6 +14,7 @@ from bsideal import linalg, solver, weyl
 from bsideal.cli import corpus_paths, load_specs
 from bsideal.hyperplanes import Hyperplane, extract_hyperplanes
 from bsideal.polynomials import MPoly, format_poly, grlex_key, iter_monomials, parse_poly, s_names
+from bsideal.snc import snc_certificate
 from bsideal.solver import (
     BSCertificate,
     InvertibleTwistError,
@@ -26,15 +27,14 @@ from bsideal.solver import (
 from bsideal.weyl import (
     GermContext,
     GermElement,
-    WeylOperator,
     derivative_table,
     partial_derivative,
 )
-from germ_helpers import weyl_operator
+from germ_helpers import monomial_ctx, random_monomial_problems, weyl_operator
 
 
 def make_ctx(names, f_texts):
-    return GermContext(names, s_names(len(f_texts)), [parse_poly(t, list(names)) for t in f_texts])
+    return GermContext(names, [parse_poly(t, list(names)) for t in f_texts])
 
 
 def sp(text, r=1):
@@ -676,12 +676,31 @@ def test_random_twists_verify():
         order = a[0] + a[1]
         cert = find_bs_pair(ctx, a, SolveBounds(order, 0, 0, order))
         assert cert is not None
+        assert_well_formed(cert)
         assert verify(cert)
         want = MPoly.const(2, 1)
         for i, ai in enumerate(a):
             for j in range(1, ai + 1):
                 want = want * (MPoly.variable(2, i) + j)
         assert cert.b == want
+
+
+def assert_well_formed(cert):
+    """Every beta of P has length n, and every Q_beta is a nonzero MPoly
+    in the n + r variables of Q[x, s]."""
+    n, r = cert.ctx.n, cert.ctx.r
+    assert cert.P
+    for beta, q in cert.P.items():
+        assert len(beta) == n
+        assert isinstance(q, MPoly) and q.nvars == n + r and not q.is_zero()
+
+
+def test_snc_certificates_are_well_formed():
+    # the monomial collections of tests/test_snc.py
+    problems = [([[1, 0], [1, 1]], (1, 1)), ([[1, 0], [2, 3]], (1, 2))]
+    for exps, a in problems + random_monomial_problems():
+        cert, _ = snc_certificate(monomial_ctx(exps), a)
+        assert_well_formed(cert)
 
 
 def own_table(cert):
@@ -708,8 +727,8 @@ def test_verify_with_a_shared_table_matches_and_rejects_nudges():
         order = a[0] + a[1]
         cert = find_bs_pair(ctx, a, SolveBounds(order, 0, 0, order))
         assert verify(cert, own_table(cert)) is verify(cert) is True
-        key = next(iter(cert.P.terms))
-        bad_p = WeylOperator(2, 2, {**cert.P.terms, key: nudged(cert.P.terms[key], (0,) * 4)})
+        key = next(iter(cert.P))
+        bad_p = {**cert.P, key: nudged(cert.P[key], (0,) * 4)}
         bad_b = nudged(cert.b, next(iter(cert.b.terms)))
         for bad in (
             BSCertificate(ctx, a, cert.b, bad_p),
@@ -735,7 +754,7 @@ def test_verify_certificate_with_mixed_int_and_fraction_coefficients():
     }
     P = weyl_operator(2, 1, terms)
     cert = BSCertificate(ctx, (1,), sp("(s + 1)^2"), P)
-    assert {type(c) for p in P.terms.values() for c in p.terms.values()} == {int, Fraction}
+    assert {type(c) for p in P.values() for c in p.terms.values()} == {int, Fraction}
     assert verify(cert) and verify(cert, own_table(cert))
     bad = BSCertificate(ctx, (1,), cert.b, weyl_operator(2, 1, {
         **terms, ((1, 0), (1, 0)): nudged(three, (0,))}))

@@ -34,7 +34,6 @@ UNREACHED = {
     "polynomials.MPoly.__setattr__": "guard",
     "polynomials.MPoly.__bool__": "guard",
     "polynomials.Record.__setattr__": "guard",
-    "weyl.WeylOperator.__setattr__": "guard",
     "weyl.GermContext.__setattr__": "guard",
     "weyl.GermElement.__setattr__": "guard",
     "polynomials.MPoly.__repr__": "debug",
