@@ -401,8 +401,14 @@ class EntryRunner:
             own_graph = tuple(c.weights for c in own.components) == (
                 tuple(c.weights for c in graph.components)
             )
-        # the closed-form b reads nothing of the graph but its L_k
-        b_el = cert.b if own_graph else snc_b_element(graph, a)
+        cert_json = cert and cert.to_json_dict()
+        # the closed-form b reads nothing of the graph but its L_k, and is
+        # formatted once, in the certificate
+        if own_graph:
+            b_el, b_text = cert.b, cert_json["b"]
+        else:
+            b_el = snc_b_element(graph, a)
+            b_text = format_poly(b_el, s_names(self.spec.r))
         pairs, residual = self.factors(b_el)
         extracted, structure_ok = _hyperplanes_json(pairs, a)
         matches = (
@@ -412,11 +418,11 @@ class EntryRunner:
         )
         return {
             "slopes": [list(s) for s in slopes],
-            "b_element": format_poly(b_el, s_names(self.spec.r)),
+            "b_element": b_text,
             "extracted": extracted,
             "extraction_matches_slopes": matches,
             "structure_ok": structure_ok,
-            "certificate": cert and cert.to_json_dict(),
+            "certificate": cert_json,
             "certificate_verified": cert_verified,
             "certificate_b_matches_graph": True if own_graph else None,
             "ok": matches and structure_ok and cert_verified is not False,

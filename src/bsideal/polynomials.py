@@ -217,10 +217,13 @@ class MPoly:
             return NotImplemented
         self._check(other)
         # a one-term operand only shifts the other's exponents, and a
-        # product of nonzero coefficients is nonzero
+        # product of nonzero coefficients is nonzero; times the constant 1,
+        # the other operand is returned as it is
         mono, rest = (other, self) if len(other.terms) == 1 else (self, other)
         if len(mono.terms) == 1:
             ((e2, c2),) = mono.terms.items()
+            if c2 == 1 and not any(e2):
+                return rest
             return MPoly._raw(
                 self.nvars,
                 {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in rest.terms.items()},

@@ -110,9 +110,11 @@ class BSCertificate(Record):
 
 
 def _times(p: MPoly, d: int) -> MPoly:
-    """d * p with int coefficients; d is a multiple of every denominator of p."""
+    """d * p with int coefficients; d is a multiple of every denominator of p.
+    The exponents are p's own and each coefficient is a nonzero int, so the
+    result is built raw."""
     terms = {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}
-    return MPoly(p.nvars, terms)
+    return MPoly._raw(p.nvars, terms)
 
 
 def verify(

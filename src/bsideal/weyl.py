@@ -16,6 +16,15 @@ so each derivative lowers e_i by exactly one for every f_i it touches, and
 f_i is never divided back out of num: a germ is not kept in lowest terms,
 and `GermElement.__eq__` compares two germs over their common frame.
 
+The product rule for d/dx_j is fused into one product per derivative:
+
+    num' = d_j(num) * Pi_j + num * S_j,   S_j = sum_i G_ij * (s_i + e_i),
+
+where i runs over the f_i that depend on x_j, Pi_j is their product and
+G_ij = d_j f_i * prod_{i' != i} f_i' over the same i'.  Pi_j, the G_ij and
+sum_i G_ij * s_i are built from products only, once per context and x_j on
+first use, and kept on the context (`GermContext.product_rule`).
+
 `apply` expands P . v in one frame: it writes every d^beta v over the
 frame of the smallest exponents once and sums their numerators times
 Q_beta.  The d^beta v come from a derivative table of v, which a caller
@@ -89,7 +98,9 @@ class GermContext:
     nonconstant one, say), and spans Q^n for a monomial collection.
     """
 
-    __slots__ = ("x_names", "s_vars", "F", "partials", "weights", "_power_cache")
+    __slots__ = (
+        "x_names", "s_vars", "F", "partials", "weights", "_power_cache", "_rule_cache"
+    )
 
     def __init__(self, x_names: Sequence[str], F: Sequence[MPoly]):
         n, r = len(x_names), len(F)
@@ -118,6 +129,7 @@ class GermContext:
         )
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_power_cache", {})
+        object.__setattr__(self, "_rule_cache", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("GermContext is immutable")
@@ -166,6 +178,31 @@ class GermContext:
             self._power_cache[key] = cached
         return cached
 
+    def product_rule(
+        self, j: int
+    ) -> tuple[tuple[int, ...], MPoly, tuple[MPoly, ...], MPoly]:
+        """The pieces of d/dx_j on a germ, built on first use: the i whose
+        f_i depends on x_j, their product Pi_j, each G_ij = d_j f_i times
+        the product of the other such f_i', and sum_i G_ij * s_i."""
+        rule = self._rule_cache.get(j)
+        if rule is None:
+            dj = [df[j] for df in self.partials]
+            active = tuple(i for i, d in enumerate(dj) if not d.is_zero())
+            pi = self.one()
+            for i in active:
+                pi = pi * self.F[i]
+            G = []
+            gs = MPoly(self.nvars)
+            for i in active:
+                g = dj[i]
+                for i2 in active:
+                    if i2 != i:
+                        g = g * self.F[i2]
+                G.append(g)
+                gs = gs + g * self.s_variable(i)
+            rule = self._rule_cache[j] = (active, pi, tuple(G), gs)
+        return rule
+
     def invertible_power(self, a: Sequence[int]) -> bool:
         """True when f^a is a nonzero constant (every active f_i constant)."""
         return all(e == 0 or f.is_constant() for f, e in zip(self.F, a))
@@ -208,19 +245,18 @@ class GermElement:
 
 def partial_derivative(v: GermElement, j: int) -> GermElement:
     """d/dx_j through the twisted product: every f_i that depends on x_j
-    loses exactly one power, and the numerator gains the product-rule
-    terms; nothing is cancelled."""
+    loses exactly one power, and the numerator becomes
+    d_j(num) * Pi_j + num * sum_i G_ij * (s_i + e_i), with Pi_j and the
+    G_ij taken from the context's cache (`GermContext.product_rule`);
+    nothing is cancelled."""
     ctx = v.ctx
-    active = [i for i in range(ctx.r) if not ctx.partials[i][j].is_zero()]
-    num = v.num.derivative(j)
-    for i in active:
-        num = num * ctx.F[i]
-    for i in active:
-        term = v.num * ctx.partials[i][j] * (ctx.s_variable(i) + v.exps[i])
-        for i2 in active:
-            if i2 != i:
-                term = term * ctx.F[i2]
-        num = num + term
+    active, pi, G, S = ctx.product_rule(j)
+    num = v.num.derivative(j) * pi
+    if active:
+        for i, g in zip(active, G):
+            if v.exps[i]:
+                S = S + g * v.exps[i]
+        num = num + v.num * S
     exps = tuple(e - (i in active) for i, e in enumerate(v.exps))
     return GermElement(ctx, num, exps)
 

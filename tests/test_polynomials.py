@@ -186,3 +186,25 @@ def test_primitive_is_content_times_coprime_ints():
             assert content == 1
 
     check()
+
+
+def test_unit_products_return_the_other_operand():
+    # a one-term operand that is the constant 1 hands back the other
+    # operand itself; every other one-term operand still scales or shifts
+    for one in (MPoly.const(2, 1), MPoly.const(2, Fraction(1))):
+        for p in (P("x^2 + 3*x*y - 2"), P("x/2 - 2/3*y + 1/5"), MPoly(2)):
+            assert p * one == p and one * p == p
+            assert p * one is p
+            if len(p.terms) != 1:
+                assert one * p is p
+        assert one * one == one
+    p = P("x/2 + y")
+    assert p * MPoly.const(2, 2) == MPoly.const(2, 2) * p == P("x + 2*y")
+    assert p * MPoly.const(2, -1) == -p
+    assert p * P("x") == P("x") * p == P("x^2/2 + x*y")
+    assert MPoly.const(2, 1) * P("x") == P("x")
+    for one in (MPoly.const(3, 1), MPoly.const(3, Fraction(1))):
+        with pytest.raises(ValueError):
+            p * one
+        with pytest.raises(ValueError):
+            one * p

@@ -12,7 +12,7 @@ from operator import sub
 
 import pytest
 
-from bsideal.polynomials import MPoly, parse_poly
+from bsideal.polynomials import MPoly, iter_monomials, parse_poly
 from bsideal.weyl import (
     GermContext,
     GermElement,
@@ -241,3 +241,67 @@ def test_derivative_table_lowers_each_touched_exponent_once():
                 for i in range(ctx.r)
             ]
             assert germ_for(beta).exps == tuple(map(sub, a, touched))
+
+
+def termwise_derivative(v, j):
+    """d/dx_j by the term-by-term product rule: d_j(num) times every f_i
+    that depends on x_j, plus one product num * d_j f_i * (s_i + e_i) times
+    the other such f_i' for each of them.  The fused rule must give the
+    same numerator."""
+    ctx = v.ctx
+    active = [i for i in range(ctx.r) if not ctx.partials[i][j].is_zero()]
+    num = v.num.derivative(j)
+    for i in active:
+        num = num * ctx.F[i]
+    for i in active:
+        term = v.num * ctx.partials[i][j] * (ctx.s_variable(i) + v.exps[i])
+        for i2 in active:
+            if i2 != i:
+                term = term * ctx.F[i2]
+        num = num + term
+    exps = tuple(e - (i in active) for i, e in enumerate(v.exps))
+    return GermElement(ctx, num, exps)
+
+
+def random_numerator(rng, nvars):
+    """A random element of Q[x, s] with Fraction coefficients."""
+    terms = {
+        tuple(rng.randint(0, 2) for _ in range(nvars)):
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for _ in range(rng.randint(1, 4))
+    }
+    return MPoly(nvars, terms)
+
+
+def test_fused_product_rule_matches_termwise():
+    # random F from shared factors (repeats, and f_i constant in x_j, seen
+    # below), random Fraction numerators, exponents of either sign, and
+    # whole derivative chains: partial_derivative gives the numerator and
+    # exponents of the term-by-term rule
+    rng = random.Random(423)
+    seen_repeat = seen_inactive = False
+    for _ in range(20):
+        F = []
+        for _ in range(rng.randint(1, 3)):
+            f = parse_poly(rng.choice(("1", "2/3")), ["x", "y"])
+            factors = [rng.choice(FACTORS) for _ in range(rng.randint(1, 2))]
+            seen_repeat |= len(set(factors)) < len(factors)
+            for t in factors:
+                f = f * parse_poly(t, ["x", "y"])
+            F.append(f)
+        ctx = GermContext(["x", "y"], F)
+        seen_inactive |= any(df.is_zero() for dfs in ctx.partials for df in dfs)
+        num = random_numerator(rng, ctx.nvars)
+        exps = tuple(rng.randint(-2, 2) for _ in F)
+        v = GermElement(ctx, num, exps)
+        for j in range(ctx.n):
+            got, want = partial_derivative(v, j), termwise_derivative(v, j)
+            assert got.exps == want.exps and got.num == want.num
+        a = tuple(rng.randint(0, 2) for _ in F)
+        for start, order in ((GermElement.power(ctx, a), 3), (v, 2)):
+            fused = derivative_table(start, partial_derivative)
+            termwise = derivative_table(start, termwise_derivative)
+            for beta in iter_monomials(ctx.n, order):
+                got, want = fused(beta), termwise(beta)
+                assert got.exps == want.exps and got.num == want.num
+    assert seen_repeat and seen_inactive
