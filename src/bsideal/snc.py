@@ -304,5 +304,5 @@ def support_loci_size(graph: ResolutionGraph, a: Sequence[int]) -> tuple[int, in
     """The number of cosets support_loci(graph, a) lists, one per c < gcd(L_k)
     for each component k, and the bits of the largest multiplicity, which
     bounds every entry of their characters and angles."""
-    comps = [c.weights for c in graph.components if any(map(mul, c.weights, a))]
+    comps = [graph.components[k].weights for k in support_components(graph, a)]
     return sum(math.gcd(*w) for w in comps), max(max(w) for w in comps).bit_length()

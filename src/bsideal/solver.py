@@ -11,8 +11,9 @@ other routine in the package defers to.  It first multiplies b and P by
 the lcm of their coefficient denominators, so the expansion runs on int
 coefficients, and expands P . f^(s+a) in one frame (`weyl.apply`).
 `find_bs_pair` hands it the derivative table its solve filled, so the check
-of a solved certificate takes no derivative of its own; a one-argument
-`verify(cert)` derives its own germs.
+of a solved certificate takes no derivative of its own, and a one-argument
+`verify(cert)` builds its own table.  Every table is built here through
+`solver.partial_derivative`, so a wrapper bound there sees every derivative.
 
 `find_bs_pair` searches a bounded ansatz: the identity is linear in the
 coefficients of P and b, so candidates form the nullspace of an exact
@@ -126,7 +127,7 @@ def verify(
     of b and P, so the expansion runs on int coefficients; d is nonzero, so
     the scaled identity holds exactly when the original one does.  germ_for,
     when given, is a derivative table of f^(s+a) whose germs the expansion
-    reuses; otherwise `apply` derives its own.
+    reuses; otherwise verify builds one through `partial_derivative`.
     """
     ctx = cert.ctx
     b, P = cert.b, cert.P
@@ -134,8 +135,11 @@ def verify(
     if d != 1:
         b = _times(b, d)
         P = {beta: _times(q, d) for beta, q in P.items()}
+    v = GermElement.power(ctx, cert.a)
+    if germ_for is None:
+        germ_for = derivative_table(v, partial_derivative)
     lhs = GermElement(ctx, b.padded(ctx.n, 0), (0,) * ctx.r)
-    return lhs == apply(P, GermElement.power(ctx, cert.a), germ_for)
+    return lhs == apply(P, v, germ_for)
 
 
 def _validate_twist(ctx: GermContext, a: Sequence[int]) -> tuple[int, ...]:
@@ -169,8 +173,6 @@ def find_bs_pair(
     a = _validate_twist(ctx, a)
     n, r = ctx.n, ctx.r
 
-    # partial_derivative is looked up in this module on each call, so a
-    # wrapper bound at solver.partial_derivative sees every derivative
     germ_for = derivative_table(GermElement.power(ctx, a), partial_derivative)
 
     alphas = list(iter_monomials(n, bounds.max_x_degree))

@@ -27,17 +27,17 @@ first use, and kept on the context (`GermContext.product_rule`).
 
 `apply` expands P . v in one frame: it writes every d^beta v over the
 frame of the smallest exponents once and sums their numerators times
-Q_beta.  The d^beta v come from a derivative table of v, which a caller
-that has already filled one (the solver, for its own check) passes in.
+Q_beta.  The d^beta v come from a derivative table of v that the caller
+passes in; only the solver builds one, through `solver.partial_derivative`.
 """
 
 from __future__ import annotations
 
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 from typing import Callable, Sequence
 
 from .linalg import nullspace
-from .polynomials import MPoly, Scalar, format_poly, grlex_key, primitive, s_names
+from .polynomials import MPoly, Record, Scalar, format_poly, grlex_key, primitive, s_names
 
 Exps = tuple[int, ...]
 
@@ -98,9 +98,7 @@ class GermContext:
     nonconstant one, say), and spans Q^n for a monomial collection.
     """
 
-    __slots__ = (
-        "x_names", "s_vars", "F", "partials", "weights", "_power_cache", "_rule_cache"
-    )
+    __slots__ = ("x_names", "s_vars", "F", "weights", "_power_cache", "_rule_cache")
 
     def __init__(self, x_names: Sequence[str], F: Sequence[MPoly]):
         n, r = len(x_names), len(F)
@@ -112,11 +110,6 @@ class GermContext:
         object.__setattr__(self, "x_names", tuple(x_names))
         object.__setattr__(self, "s_vars", tuple(s_names(r)))
         object.__setattr__(self, "F", lifted)
-        object.__setattr__(
-            self,
-            "partials",
-            tuple(tuple(f.derivative(j) for j in range(n)) for f in lifted),
-        )
         diffs = []
         for f in F:
             first, *rest = f.terms
@@ -162,9 +155,6 @@ class GermContext:
     def one(self) -> MPoly:
         return MPoly.const(self.nvars, 1)
 
-    def s_variable(self, i: int) -> MPoly:
-        return MPoly.variable(self.nvars, self.n + i)
-
     def f_power(self, exps: Sequence[int]) -> MPoly:
         """Product f_1^e_1 ... f_r^e_r for e >= 0."""
         key = tuple(exps)
@@ -181,12 +171,13 @@ class GermContext:
     def product_rule(
         self, j: int
     ) -> tuple[tuple[int, ...], MPoly, tuple[MPoly, ...], MPoly]:
-        """The pieces of d/dx_j on a germ, built on first use: the i whose
-        f_i depends on x_j, their product Pi_j, each G_ij = d_j f_i times
-        the product of the other such f_i', and sum_i G_ij * s_i."""
+        """The pieces of d/dx_j on a germ, built on first use from the
+        d_j f_i: the i whose f_i depends on x_j, their product Pi_j, each
+        G_ij = d_j f_i times the product of the other such f_i', and
+        sum_i G_ij * s_i."""
         rule = self._rule_cache.get(j)
         if rule is None:
-            dj = [df[j] for df in self.partials]
+            dj = [f.derivative(j) for f in self.F]
             active = tuple(i for i, d in enumerate(dj) if not d.is_zero())
             pi = self.one()
             for i in active:
@@ -199,7 +190,7 @@ class GermContext:
                     if i2 != i:
                         g = g * self.F[i2]
                 G.append(g)
-                gs = gs + g * self.s_variable(i)
+                gs = gs + g * MPoly.variable(self.nvars, self.n + i)
             rule = self._rule_cache[j] = (active, pi, tuple(G), gs)
         return rule
 
@@ -208,23 +199,22 @@ class GermContext:
         return all(e == 0 or f.is_constant() for f, e in zip(self.F, a))
 
 
-class GermElement:
+class GermElement(Record):
     """num * prod f_i^(s_i + exps_i), with num in Q[x, s] and exps in Z^r."""
 
     __slots__ = ("ctx", "num", "exps")
+    _values = property(attrgetter(*__slots__))
+    ctx: GermContext
+    num: MPoly
+    exps: Exps
 
-    def __init__(self, ctx: GermContext, num: MPoly, exps: Sequence[int]):
-        exps = tuple(exps)
-        if num.nvars != ctx.nvars:
+    def _check(self):
+        exps = tuple(self.exps)
+        if self.num.nvars != self.ctx.nvars:
             raise ValueError("numerator must live in the combined ring")
-        if len(exps) != ctx.r:
+        if len(exps) != self.ctx.r:
             raise ValueError("exponents must have one entry per f_i")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "num", num)
         object.__setattr__(self, "exps", exps)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("GermElement is immutable")
 
     @classmethod
     def power(cls, ctx: GermContext, twist: Sequence[int]) -> "GermElement":
@@ -286,22 +276,17 @@ def derivative_table(
 
 
 def apply(
-    op: Operator,
-    v: GermElement,
-    germ_for: Callable[[Exps], GermElement] | None = None,
+    op: Operator, v: GermElement, germ_for: Callable[[Exps], GermElement]
 ) -> GermElement:
     """Apply a normally ordered operator to a germ: op . v = sum_beta
-    Q_beta d^beta v.
+    Q_beta d^beta v, with each d^beta v taken from germ_for, a derivative
+    table of v (beta -> d^beta v).
 
     Each d^beta v is brought once to the frame e = min(v.exps, exps of
     every d^beta v), and the sum is the numerator over that frame, not
-    reduced further.  germ_for, when given, is a derivative table of v
-    (beta -> d^beta v) to take the d^beta v from; otherwise apply builds
-    its own.
+    reduced further.
     """
     ctx = v.ctx
-    if germ_for is None:
-        germ_for = derivative_table(v, partial_derivative)
     germs = [(germ_for(beta), q) for beta, q in op.items()]
     e = tuple(map(min, zip(v.exps, *(g.exps for g, _ in germs))))
     num = MPoly(ctx.nvars)

@@ -1,11 +1,17 @@
 """Builders the tests share: sums of germs, operators written term by
-term, and monomial collections."""
+term and applied, and monomial collections."""
 
 import random
 from operator import sub
 
 from bsideal.polynomials import MPoly
-from bsideal.weyl import GermContext, GermElement
+from bsideal.weyl import (
+    GermContext,
+    GermElement,
+    apply,
+    derivative_table,
+    partial_derivative,
+)
 
 
 def germ_sum(*germs):
@@ -29,6 +35,11 @@ def weyl_operator(nx, ns, terms):
         q = c.padded(nx, 0) * MPoly.monomial(nx + ns, tuple(alpha) + (0,) * ns)
         Q[beta] = Q[beta] + q if beta in Q else q
     return {beta: q for beta, q in Q.items() if not q.is_zero()}
+
+
+def applied(op, v):
+    """op . v through weyl.apply, over a fresh derivative table of v."""
+    return apply(op, v, derivative_table(v, partial_derivative))
 
 
 def monomial_ctx(exps):

@@ -9,8 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bsideal.polynomials import MPoly, parse_poly  # noqa: E402
-from bsideal.weyl import GermContext, GermElement, apply  # noqa: E402
-from germ_helpers import germ_sum, weyl_operator  # noqa: E402
+from bsideal.weyl import GermContext, GermElement  # noqa: E402
+from germ_helpers import applied, germ_sum, weyl_operator  # noqa: E402
 
 CTX = GermContext(["x", "y"], [parse_poly(t, ["x", "y"]) for t in ("x + y^2", "x*y")])
 
@@ -28,8 +28,8 @@ OPERATORS = st.dictionaries(st.tuples(EXPS, EXPS), COEFFS, min_size=1, max_size=
 def test_apply_is_the_sum_over_one_term_operators(op, a):
     v = GermElement.power(CTX, a)
     parts = [
-        apply({beta: MPoly.monomial(CTX.nvars, e, c)}, v)
+        applied({beta: MPoly.monomial(CTX.nvars, e, c)}, v)
         for beta, q in op.items()
         for e, c in q.terms.items()
     ]
-    assert apply(op, v) == germ_sum(*parts)
+    assert applied(op, v) == germ_sum(*parts)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from bsideal import cli, snc, solver
+from bsideal import cli, snc, solver, weyl
 from bsideal.cli import (
     EXIT_BOUNDS,
     EXIT_CHECK_FAILED,
@@ -595,6 +595,29 @@ def test_closed_form_certificate_verified_unless_solved(spec_of, tmp_path, monke
     snc = entry["results"]["snc"]
     assert snc["certificate_verified"] is True
     assert [c.to_json_dict() for c in checked] == [snc["certificate"]]
+
+
+def test_closed_form_check_derives_through_the_solver(tmp_path, capsys, monkeypatch):
+    # a graph-only pure monomial entry checks its closed-form certificate
+    # with a one-argument verify: every germ derivative goes through
+    # solver.partial_derivative, none through weyl's own name
+    calls = {"weyl": 0, "solver": 0}
+
+    def counting(side, fn):
+        def spy(v, j):
+            calls[side] += 1
+            return fn(v, j)
+        return spy
+
+    monkeypatch.setattr(weyl, "partial_derivative", counting("weyl", weyl.partial_derivative))
+    monkeypatch.setattr(solver, "partial_derivative", counting("solver", solver.partial_derivative))
+    path = write_entry(tmp_path, **PAIR, resolution_graph={
+        "r": 2, "components": [{"L": [1, 0]}, {"L": [0, 1]}]})
+    code, out, _ = run(["run", "--json", path], capsys)
+    assert code == EXIT_OK
+    (entry,) = json.loads(out)["entries"]
+    assert entry["results"]["snc"]["certificate_verified"] is True
+    assert calls["weyl"] == 0 and calls["solver"] > 0
 
 
 @pytest.mark.parametrize(

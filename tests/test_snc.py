@@ -22,6 +22,7 @@ from bsideal.snc import (
     snc_certificate,
     support_components,
     support_loci,
+    support_loci_size,
 )
 from bsideal.solver import verify
 from bsideal.torus import TorusCoset
@@ -196,6 +197,13 @@ def test_support_loci_frozen():
     assert support_loci(X_XY, (1, 1)) == support_loci(X_XY, (0, 1))
     with pytest.raises(EmptySupportError):
         support_loci(X_XY, (0, 0))
+
+
+def test_support_loci_size_of_an_empty_support():
+    # no component carries f_2, so a = (0, 1) activates none: the size
+    # bound refuses the twist as support_loci does
+    with pytest.raises(EmptySupportError):
+        support_loci_size(graph([(1, 0)]), (0, 1))
 
 
 def test_support_loci_expands_torsion():

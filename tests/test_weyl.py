@@ -16,12 +16,11 @@ from bsideal.polynomials import MPoly, iter_monomials, parse_poly
 from bsideal.weyl import (
     GermContext,
     GermElement,
-    apply,
     derivative_table,
     format_operator,
     partial_derivative,
 )
-from germ_helpers import germ_sum, weyl_operator
+from germ_helpers import applied, germ_sum, weyl_operator
 
 
 def value_at(p, point):
@@ -61,7 +60,7 @@ def test_commutator_dx_x():
     germ = GermElement.power(ctx, (1,))
     dx = weyl_operator(1, 1, {((0,), (1,)): 1})
     x = weyl_operator(1, 1, {((1,), (0,)): 1})
-    assert apply(dx, apply(x, germ)) == germ_sum(apply(x, apply(dx, germ)), germ)
+    assert applied(dx, applied(x, germ)) == germ_sum(applied(x, applied(dx, germ)), germ)
 
 
 def test_format_operator_splits_each_q_beta_by_alpha():
@@ -92,7 +91,7 @@ def test_euler_operator_reads_off_s():
     germ = GermElement.power(ctx, (0,))
     euler = weyl_operator(1, 1, {((1,), (1,)): 1})
     s = MPoly.variable(2, 1)
-    assert apply(euler, germ) == scaled(germ, s)
+    assert applied(euler, germ) == scaled(germ, s)
 
 
 def test_partial_derivative_product_rule():
@@ -105,6 +104,20 @@ def test_partial_derivative_product_rule():
     plain = GermElement.power(ctx, (0,))
     want = germ_sum(scaled(plain, x * 2 + 1), scaled(plain, s * (x + 1)))
     assert got == want
+
+
+def test_germ_element_checks_its_fields():
+    # a germ is a Record: its numerator lives in Q[x, s], its exps has one
+    # entry per f_i and is kept as a tuple, and its fields are read-only
+    ctx = GermContext(["x"], [parse_poly("x", ["x"]), parse_poly("x + 1", ["x"])])
+    with pytest.raises(ValueError, match="^numerator must live in the combined ring$"):
+        GermElement(ctx, MPoly.variable(2, 0), (0, 0))
+    with pytest.raises(ValueError, match="^exponents must have one entry per f_i$"):
+        GermElement(ctx, ctx.one(), (0,))
+    germ = GermElement(ctx, ctx.one(), [1, -1])
+    assert type(germ.exps) is tuple and germ.exps == (1, -1)
+    with pytest.raises(AttributeError):
+        germ.exps = (0, 0)
 
 
 def test_germ_equality_alignment():
@@ -128,8 +141,8 @@ def test_apply_linearity():
         d_y = (((0, 0), (0, 1)), 1)
         p = weyl_operator(2, 2, terms)
         q = weyl_operator(2, 2, [d_y])
-        lhs = apply(weyl_operator(2, 2, [*terms.items(), d_y]), germ)
-        assert lhs == germ_sum(apply(p, germ), apply(q, germ))
+        lhs = applied(weyl_operator(2, 2, [*terms.items(), d_y]), germ)
+        assert lhs == germ_sum(applied(p, germ), applied(q, germ))
 
 
 def plain_apply(op, poly, svals):
@@ -172,7 +185,7 @@ def test_specialize_integer_matches_plain_calculus():
     rng = random.Random(411)
     for _ in range(12):
         op = rand_op(rng, 2, 2)
-        got = apply(op, base)
+        got = applied(op, base)
         # each derivative can lower both net exponents, so stay clear of 0
         k = (rng.randint(4, 6), rng.randint(4, 6))
         val = specialize_integer(got, k)
@@ -188,7 +201,7 @@ def test_apply_composition_random():
     rng = random.Random(410)
     for _ in range(6):
         p, q = rand_op(rng, 1, 1), rand_op(rng, 1, 1)
-        got = apply(p, apply(q, base))
+        got = applied(p, applied(q, base))
         k = (rng.randint(4, 5), rng.randint(4, 5))
         plain = ctx.f_power((k[0] + 1, k[1] + 2))
         want = plain_apply(p, plain_apply(q, plain, k), k)
@@ -237,8 +250,8 @@ def test_derivative_table_lowers_each_touched_exponent_once():
         germ_for = derivative_table(GermElement.power(ctx, a), partial_derivative)
         for beta in [(i, j) for i in range(4) for j in range(4 - i)]:
             touched = [
-                sum(b for b, df in zip(beta, ctx.partials[i]) if not df.is_zero())
-                for i in range(ctx.r)
+                sum(b for j, b in enumerate(beta) if not f.derivative(j).is_zero())
+                for f in ctx.F
             ]
             assert germ_for(beta).exps == tuple(map(sub, a, touched))
 
@@ -249,12 +262,14 @@ def termwise_derivative(v, j):
     the other such f_i' for each of them.  The fused rule must give the
     same numerator."""
     ctx = v.ctx
-    active = [i for i in range(ctx.r) if not ctx.partials[i][j].is_zero()]
+    dj = [f.derivative(j) for f in ctx.F]
+    active = [i for i in range(ctx.r) if not dj[i].is_zero()]
     num = v.num.derivative(j)
     for i in active:
         num = num * ctx.F[i]
     for i in active:
-        term = v.num * ctx.partials[i][j] * (ctx.s_variable(i) + v.exps[i])
+        s_i = MPoly.variable(ctx.nvars, ctx.n + i)
+        term = v.num * dj[i] * (s_i + v.exps[i])
         for i2 in active:
             if i2 != i:
                 term = term * ctx.F[i2]
@@ -290,7 +305,9 @@ def test_fused_product_rule_matches_termwise():
                 f = f * parse_poly(t, ["x", "y"])
             F.append(f)
         ctx = GermContext(["x", "y"], F)
-        seen_inactive |= any(df.is_zero() for dfs in ctx.partials for df in dfs)
+        seen_inactive |= any(
+            f.derivative(j).is_zero() for f in ctx.F for j in range(ctx.n)
+        )
         num = random_numerator(rng, ctx.nvars)
         exps = tuple(rng.randint(-2, 2) for _ in F)
         v = GermElement(ctx, num, exps)
