@@ -146,10 +146,10 @@ class ProblemSpec:
         if (
             not isinstance(a, list)
             or len(a) != self.r
-            or any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in a)
+            or any(type(x) is not int or x < 0 for x in a)
         ):
             raise SpecError(f"{where}: 'a' must be {self.r} nonnegative integers")
-        self.a = tuple(int(x) for x in a)
+        self.a = tuple(a)
         if all(x == 0 for x in self.a):
             raise SpecError(f"{where}: 'a' must have a nonzero entry")
         # f^a is multiplied out before any solver limit applies: size it here
@@ -161,8 +161,7 @@ class ProblemSpec:
 
         bounds = data.get("bounds")
         if not isinstance(bounds, dict) or set(bounds) != set(BOUND_KEYS) or any(
-            not isinstance(bounds[k], int) or isinstance(bounds[k], bool) or bounds[k] < 0
-            for k in BOUND_KEYS
+            type(bounds[k]) is not int or bounds[k] < 0 for k in BOUND_KEYS
         ):
             raise SpecError(
                 f"{where}: 'bounds' must map {', '.join(BOUND_KEYS)} to integers >= 0"
@@ -313,14 +312,13 @@ def _cosets_json(cosets) -> list[dict]:
 
 
 class EntryRunner:
-    """Executes one entry's tasks; memoizes one solve and one set of support
-    loci per twist vector, and one factorization per distinct b."""
+    """Executes one entry's tasks; memoizes one solve per twist vector and
+    one factorization per distinct b."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self._certs: dict[tuple[int, ...], tuple] = {}
         self._factors: dict[MPoly, tuple] = {}
-        self._loci: dict[tuple[int, ...], tuple] = {}
 
     def certificate(self, a: tuple[int, ...]) -> tuple[str, BSCertificate]:
         """(strategy name, canonical certificate) for twist a."""
@@ -355,9 +353,7 @@ class EntryRunner:
         return {exp_image(h) for h, _ in self.ideal_hyperplanes(a)[0]}
 
     def loci(self, a: tuple[int, ...]):
-        if a not in self._loci:
-            self._loci[a] = support_loci(self.spec.graph, a)
-        return self._loci[a]
+        return support_loci(self.spec.graph, a)
 
     # task implementations -------------------------------------------------
 

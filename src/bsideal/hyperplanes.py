@@ -32,6 +32,8 @@ from .polynomials import (
     MPoly,
     Record,
     Scalar,
+    _coerce,
+    _setattr,
     format_poly,
     grlex_key,
     iter_monomials,
@@ -56,7 +58,7 @@ class Hyperplane(Record):
         if math.gcd(*self.normal) != 1 or first < 0:
             raise ValueError("normal vector must be primitive with positive lead")
         if not isinstance(self.intercept, Fraction):  # Fraction(q) would copy q
-            object.__setattr__(self, "intercept", Fraction(self.intercept))
+            _setattr(self, "intercept", Fraction(_coerce(self.intercept)))
 
     @classmethod
     def canonical(cls, normal: Sequence[Scalar], intercept: Scalar) -> "Hyperplane":

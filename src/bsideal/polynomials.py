@@ -47,10 +47,13 @@ _setattr = object.__setattr__  # bypasses the guards, one lookup cheaper
 class Record:
     """Immutable value with named fields, built positionally.
 
-    A subclass lists its fields (two or more) in ``__slots__``, sets
-    ``_values = property(attrgetter(*__slots__))`` and may override
-    ``_check`` to validate them after they are set.  Equality, hashing and
-    ``<`` use the tuple of fields and hold only between objects of one
+    A subclass lists its fields (two or more) in ``__slots__`` and sets
+    ``_values`` to a property that reads them as a tuple: every field by
+    default, ``property(attrgetter(*__slots__))``, or a chosen subset, so
+    that fields derived from the others or caches stay out.  It may
+    override ``_check`` to validate the fields after they are set, and to
+    rewrite them into canonical form through ``_setattr``.  Equality,
+    hashing and ``<`` use ``_values`` and hold only between objects of one
     class, so a record hashes as that tuple does.
     """
 
@@ -81,7 +84,7 @@ class Record:
         return hash(self._values)
 
     def __repr__(self) -> str:  # pragma: no cover - debug
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values))
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
 
@@ -118,8 +121,8 @@ class MPoly:
                     raise ValueError(f"bad exponent tuple {e!r} for {nvars} variables")
                 if c := _coerce(c):
                     clean[e] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        _setattr(self, "nvars", nvars)
+        _setattr(self, "terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("MPoly is immutable")
@@ -252,8 +255,8 @@ class MPoly:
     @classmethod
     def _raw(cls, nvars: int, terms: dict[Exponents, Scalar]) -> "MPoly":
         p = cls.__new__(cls)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", terms)
+        _setattr(p, "nvars", nvars)
+        _setattr(p, "terms", terms)
         return p
 
     # -- calculus and reindexing -------------------------------------

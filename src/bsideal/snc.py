@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .hyperplanes import linear_form
-from .polynomials import MPoly, Record, format_poly, grlex_key, primitive
+from .polynomials import MPoly, Record, _setattr, format_poly, grlex_key, primitive
 from .solver import BSCertificate
 from .torus import TorusCoset, cosets_of_character
 from .weyl import GermContext
@@ -37,7 +37,7 @@ class EmptySupportError(ValueError):
 
 
 def _json_int(v, what: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
+    if type(v) is not int:
         raise ValueError(f"{what} must be an integer, got {v!r}")
     return v
 
@@ -59,8 +59,10 @@ class GraphComponent(Record):
     def _check(self):
         if not self.weights or all(w == 0 for w in self.weights):
             raise ValueError("component must carry at least one f_i")
-        if any(not isinstance(w, int) or isinstance(w, bool) or w < 0 for w in self.weights):
+        if any(type(w) is not int or w < 0 for w in self.weights):
             raise ValueError("multiplicities must be nonnegative ints")
+        if type(self.chi) is not int:
+            raise ValueError("chi must be an int")
 
 
 class ResolutionGraph(Record):
@@ -72,12 +74,6 @@ class ResolutionGraph(Record):
     def _check(self):
         if any(len(c.weights) != self.r for c in self.components):
             raise ValueError("every component needs one multiplicity per f_i")
-
-    def maps_into(self, k: int) -> frozenset[int]:
-        """Indices i of the f_i whose divisor contains component k."""
-        return frozenset(
-            i for i, w in enumerate(self.components[k].weights) if w > 0
-        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ResolutionGraph":
@@ -146,8 +142,8 @@ def support_components(graph: ResolutionGraph, a: Sequence[int]) -> tuple[int, .
         raise ValueError("twist length mismatch")
     out = tuple(
         k
-        for k in range(len(graph.components))
-        if any(a[i] != 0 for i in graph.maps_into(k))
+        for k, c in enumerate(graph.components)
+        if any(ai and w for ai, w in zip(a, c.weights))
     )
     if not out:
         raise EmptySupportError(
@@ -228,25 +224,25 @@ def snc_certificate(
 
 
 class MonZeta(Record):
-    """Formal product prod (1 - t^v)^e over nonzero exponent vectors v."""
+    """Formal product prod (1 - t^v)^e over nonzero exponent vectors v.
+
+    The constructor takes any (v, e) pairs and stores them canonically:
+    equal v merged, zero exponents dropped, the rest in grlex order of v."""
 
     __slots__ = ("r", "factors")
     _values = property(attrgetter(*__slots__))
     r: int
     factors: tuple[tuple[tuple[int, ...], int], ...]
 
-    @classmethod
-    def make(cls, r: int, pairs: Iterable[tuple[Sequence[int], int]]) -> "MonZeta":
+    def _check(self):
         acc: dict[tuple[int, ...], int] = {}
-        for v, e in pairs:
+        for v, e in self.factors:
             v = tuple(int(x) for x in v)
-            if len(v) != r or all(x == 0 for x in v) or any(x < 0 for x in v):
+            if len(v) != self.r or all(x == 0 for x in v) or any(x < 0 for x in v):
                 raise ValueError(f"bad exponent vector {v}")
             acc[v] = acc.get(v, 0) + int(e)
-        factors = tuple(
-            (v, e) for v, e in sorted(acc.items(), key=lambda t: grlex_key(t[0])) if e
-        )
-        return cls(r, factors)
+        ordered = sorted(acc.items(), key=lambda t: grlex_key(t[0]))
+        _setattr(self, "factors", tuple((v, e) for v, e in ordered if e))
 
     def text(self) -> str:
         if not self.factors:
@@ -263,9 +259,7 @@ class MonZeta(Record):
 
 
 def mon_zeta(graph: ResolutionGraph) -> MonZeta:
-    return MonZeta.make(
-        graph.r, ((c.weights, c.chi) for c in graph.components)
-    )
+    return MonZeta(graph.r, ((c.weights, c.chi) for c in graph.components))
 
 
 def sabbah_specialize(z: MonZeta, m: Sequence[int]) -> MonZeta:
@@ -274,9 +268,7 @@ def sabbah_specialize(z: MonZeta, m: Sequence[int]) -> MonZeta:
     m = tuple(int(x) for x in m)
     if len(m) != z.r or any(x <= 0 for x in m):
         raise ValueError("specialization weights must be positive")
-    return MonZeta.make(
-        1, (((sum(a * b for a, b in zip(v, m)),), e) for v, e in z.factors)
-    )
+    return MonZeta(1, (((sum(a * b for a, b in zip(v, m)),), e) for v, e in z.factors))
 
 
 def reweight(graph: ResolutionGraph, m: Sequence[int]) -> ResolutionGraph:

@@ -87,7 +87,7 @@ class SolveBounds(Record):
 
     def _check(self):
         for name, v in zip(self.__slots__, self._values):
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise ValueError(f"{name} must be a nonnegative int")
 
 

@@ -3,9 +3,10 @@
 A coset is cut out by one binding condition lambda^v = e^(2*pi*i*theta)
 with v a nonzero integer character and theta rational; points are
 represented through their angle vectors, so all membership arithmetic
-happens in Q/Z and stays exact.  Canonicalization makes the first nonzero
+happens in Q/Z and stays exact.  The `TorusCoset` constructor is the one
+way to build a coset, and it canonicalizes: it makes the first nonzero
 entry of v positive (flipping the sign of theta with it) and reduces theta
-into [0, 1), hence equal data always serializes identically.
+into [0, 1), hence equal data always compares and serializes identically.
 """
 
 from __future__ import annotations
@@ -15,29 +16,28 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .hyperplanes import Hyperplane
-from .polynomials import Record, primitive
+from .polynomials import Record, _coerce, _setattr, primitive
 
 
 class TorusCoset(Record):
     """Canonical binding data lambda^v = e(theta): v nonzero with positive
-    lead, theta in Q intersected with [0, 1)."""
+    lead, theta in Q intersected with [0, 1).  The constructor takes any
+    nonzero integer v and rational theta and stores their canonical form."""
 
     __slots__ = ("v", "theta")
     _values = property(attrgetter(*__slots__))
     v: tuple[int, ...]
     theta: Fraction
 
-    @classmethod
-    def make(cls, v: Sequence[int], theta: Fraction | int) -> "TorusCoset":
-        v = tuple(int(x) for x in v)
-        theta = Fraction(theta)
+    def _check(self):
+        v, theta = tuple(int(x) for x in self.v), Fraction(_coerce(self.theta))
         lead = next((x for x in v if x), 0)
         if lead == 0:
             raise ValueError("character must be nonzero")
         if lead < 0:
-            v = tuple(-x for x in v)
-            theta = -theta
-        return cls(v, theta % 1)
+            v, theta = tuple(-x for x in v), -theta
+        _setattr(self, "v", v)
+        _setattr(self, "theta", theta % 1)
 
     def to_json_dict(self) -> dict:
         t = f"{self.theta.numerator}/{self.theta.denominator}"
@@ -66,7 +66,7 @@ def cosets_of_character(
         raise ValueError("character must be nonzero")
     g = content.numerator  # v is integral
     theta = Fraction(theta)
-    return tuple(TorusCoset.make(prim, (theta + c) / g) for c in range(g))
+    return tuple(TorusCoset(prim, (theta + c) / g) for c in range(g))
 
 
 def exp_image(h: Hyperplane) -> TorusCoset:
@@ -75,7 +75,7 @@ def exp_image(h: Hyperplane) -> TorusCoset:
     L.s + b == 0 maps onto the single coset lambda^L = e(-2*pi*i*b); the
     image only depends on b mod 1, so integer translates agree.
     """
-    return TorusCoset.make(h.normal, -h.intercept)
+    return TorusCoset(h.normal, -h.intercept)
 
 
 def union_equal(

@@ -37,7 +37,9 @@ from operator import attrgetter, mul, sub
 from typing import Callable, Sequence
 
 from .linalg import nullspace
-from .polynomials import MPoly, Record, Scalar, format_poly, grlex_key, primitive, s_names
+from .polynomials import (
+    MPoly, Record, Scalar, _setattr, format_poly, grlex_key, primitive, s_names
+)
 
 Exps = tuple[int, ...]
 
@@ -84,7 +86,7 @@ def format_operator(op: Operator, x_names: Sequence[str], s_names: Sequence[str]
 # ---------------------------------------------------------------------
 
 
-class GermContext:
+class GermContext(Record):
     """Fixed data shared by germs: variable names and the collection F.
 
     Each f_i is given in Q[x] and must be nonzero; F stores it in the
@@ -96,9 +98,13 @@ class GermContext:
     differences between the x-exponents of the terms of each f_i.  It is
     empty when no nonzero w grades every f_i (a constant term next to a
     nonconstant one, say), and spans Q^n for a monomial collection.
+
+    Two contexts are equal when their x names and F are: the s names and
+    the weights follow from those, and the two caches stay out.
     """
 
     __slots__ = ("x_names", "s_vars", "F", "weights", "_power_cache", "_rule_cache")
+    _values = property(attrgetter("x_names", "F"))
 
     def __init__(self, x_names: Sequence[str], F: Sequence[MPoly]):
         n, r = len(x_names), len(F)
@@ -106,10 +112,6 @@ class GermContext:
             raise ValueError("f_i must live in Q[x]")
         if any(f.is_zero() for f in F):
             raise ValueError("f_i must be nonzero")
-        lifted = tuple(f.padded(0, r) for f in F)
-        object.__setattr__(self, "x_names", tuple(x_names))
-        object.__setattr__(self, "s_vars", tuple(s_names(r)))
-        object.__setattr__(self, "F", lifted)
         diffs = []
         for f in F:
             first, *rest = f.terms
@@ -120,12 +122,8 @@ class GermContext:
         weights = tuple(
             primitive([w.get(j, 0) for j in range(n)])[1] for w in nullspace(diffs, n)
         )
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_power_cache", {})
-        object.__setattr__(self, "_rule_cache", {})
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("GermContext is immutable")
+        lifted = tuple(f.padded(0, r) for f in F)
+        super().__init__(tuple(x_names), tuple(s_names(r)), lifted, weights, {}, {})
 
     @property
     def n(self) -> int:
@@ -138,15 +136,6 @@ class GermContext:
     @property
     def nvars(self) -> int:
         return self.n + self.r
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GermContext):
-            return NotImplemented
-        return (
-            self.x_names == other.x_names
-            and self.s_vars == other.s_vars
-            and self.F == other.F
-        )
 
     def weight(self, exps: Sequence[int]) -> tuple[int, ...]:
         """The w-degree w . exps of an x-exponent under each basis vector of W."""
@@ -214,7 +203,7 @@ class GermElement(Record):
             raise ValueError("numerator must live in the combined ring")
         if len(exps) != self.ctx.r:
             raise ValueError("exponents must have one entry per f_i")
-        object.__setattr__(self, "exps", exps)
+        _setattr(self, "exps", exps)
 
     @classmethod
     def power(cls, ctx: GermContext, twist: Sequence[int]) -> "GermElement":

@@ -1,11 +1,16 @@
 """The value records: equality, hashing, order, immutability and checks.
 
 SolveBounds, BSCertificate, GraphComponent, ResolutionGraph, MonZeta,
-Hyperplane and TorusCoset are `Record`s: immutable, compared and hashed by
-the tuple of their fields, and equal only to records of their own class.
+Hyperplane, TorusCoset, GermContext and GermElement are `Record`s:
+immutable, compared and hashed by the tuple of their fields (GermContext
+by its x names and F only), and equal only to records of their own class.
+Each has one constructor, which checks its fields and, for MonZeta and
+TorusCoset, stores them in canonical form.
 """
 
+import importlib
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -15,7 +20,7 @@ import pytest
 
 import bsideal
 from bsideal.hyperplanes import Hyperplane
-from bsideal.polynomials import MPoly
+from bsideal.polynomials import MPoly, Record
 from bsideal.snc import GraphComponent, MonZeta, ResolutionGraph, snc_certificate
 from bsideal.solver import BSCertificate, SolveBounds
 from bsideal.torus import TorusCoset
@@ -50,9 +55,9 @@ def triples():
             ResolutionGraph(2, (GraphComponent((1, 1), 0),)),
             ResolutionGraph(2, (GraphComponent((1, 2), 0),)),
         ),
-        (MonZeta.make(1, [((1,), 1)]), MonZeta(1, (((1,), 1),)), MonZeta.make(1, [((2,), 1)])),
+        (MonZeta(1, [((1,), 1)]), MonZeta(1, (((1,), 1),)), MonZeta(1, [((2,), 1)])),
         (Hyperplane((1, 2), Fraction(1, 2)), Hyperplane((1, 2), Fraction(1, 2)), Hyperplane((1, 2), 1)),
-        (TorusCoset((1, 2), Fraction(1, 2)), TorusCoset.make((-1, -2), Fraction(1, 2)), TorusCoset((1, 2), 0)),
+        (TorusCoset((1, 2), Fraction(1, 2)), TorusCoset((-1, -2), Fraction(1, 2)), TorusCoset((1, 2), 0)),
     ]
 
 
@@ -66,7 +71,7 @@ def test_equal_fields_equal_records(same, twin, other):
     assert same != other and not same == other
     assert same != fields(twin) and fields(twin) != same
     if isinstance(same, BSCertificate):
-        # its GermContext is unhashable, so the certificate is too
+        # its P is a dict, so the certificate is unhashable
         with pytest.raises(TypeError):
             hash(same)
     else:
@@ -101,7 +106,7 @@ def test_records_sort_by_their_field_tuple():
         if v == (0, 0):
             v = (1, 0)
         theta = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-        cosets.append(TorusCoset.make(v, theta))
+        cosets.append(TorusCoset(v, theta))
         hyperplanes.append(Hyperplane.canonical(v, theta))
     for records in (hyperplanes, cosets):
         assert [fields(r) for r in sorted(records)] == sorted(map(fields, records))
@@ -121,16 +126,23 @@ def test_records_sort_by_their_field_tuple():
             lambda: ResolutionGraph(2, (GraphComponent((1,), 0),)),
             "every component needs one multiplicity per f_i",
         ),
-        (lambda: MonZeta.make(2, [((0, 0), 1)]), "bad exponent vector (0, 0)"),
+        (lambda: MonZeta(2, [((0, 0), 1)]), "bad exponent vector (0, 0)"),
         (lambda: Hyperplane((0, 0), 1), "normal vector must be nonzero"),
         (lambda: Hyperplane((), 1), "normal vector must be nonzero"),
         (lambda: Hyperplane((2, 4), 1), "normal vector must be primitive with positive lead"),
         (lambda: Hyperplane((-1, 2), 1), "normal vector must be primitive with positive lead"),
-        (lambda: TorusCoset.make((0, 0), 0), "character must be nonzero"),
+        (lambda: TorusCoset((0, 0), 0), "character must be nonzero"),
+        # exact fields refuse bools and floats
+        (lambda: SolveBounds(True, 0, 0, 1), "max_operator_order must be a nonnegative int"),
+        (lambda: GraphComponent((2,), 0.5), "chi must be an int"),
+        (lambda: Hyperplane((1,), 0.1), "expected int or Fraction, got float"),
+        (lambda: TorusCoset((1,), 0.1), "expected int or Fraction, got float"),
     ],
 )
 def test_checks_keep_their_messages(build, message):
-    with pytest.raises(ValueError) as err:
+    # polynomials._coerce refuses a float where a rational is due
+    error = TypeError if message == "expected int or Fraction, got float" else ValueError
+    with pytest.raises(error) as err:
         build()
     assert str(err.value) == message
 
@@ -138,6 +150,33 @@ def test_checks_keep_their_messages(build, message):
 def test_hyperplane_intercept_is_a_fraction():
     h = Hyperplane((1,), 2)
     assert type(h.intercept) is Fraction and h == Hyperplane((1,), Fraction(2))
+
+
+def test_germ_contexts_compare_by_names_and_F():
+    x, xy = MPoly.monomial(2, (1, 0)), MPoly.monomial(2, (1, 1))
+    ctx = GermContext(["x", "y"], [x, xy])
+    twin = GermContext(("x", "y"), [MPoly.monomial(2, (1, 0)), MPoly.monomial(2, (1, 1))])
+    assert ctx == twin and hash(ctx) == hash(twin)
+    ctx.f_power((1, 1))  # fills a cache, which stays out of equality
+    assert ctx == twin and hash(ctx) == hash(twin)
+    assert ctx != GermContext(["x", "y"], [x, x])
+    assert ctx != GermContext(["u", "v"], [x, xy])
+    for name in ctx.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, None)
+
+
+def test_every_slotted_class_is_a_record():
+    # MPoly keeps its own fast equality and hash over a dict of terms
+    slotted = []
+    for info in pkgutil.iter_modules(bsideal.__path__):
+        module = importlib.import_module(f"bsideal.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                if "__slots__" in vars(cls) and cls not in (Record, MPoly):
+                    slotted.append(cls.__name__)
+                    assert issubclass(cls, Record), cls.__name__
+    assert "GermContext" in slotted, slotted
 
 
 def test_wrong_field_count_is_refused():

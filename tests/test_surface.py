@@ -34,7 +34,6 @@ UNREACHED = {
     "polynomials.MPoly.__setattr__": "guard",
     "polynomials.MPoly.__bool__": "guard",
     "polynomials.Record.__setattr__": "guard",
-    "weyl.GermContext.__setattr__": "guard",
     "polynomials.MPoly.__repr__": "debug",
     "polynomials.Record.__repr__": "debug",
     "polynomials.MPoly.__sub__": "input-driven",
