@@ -40,6 +40,7 @@ from .polynomials import (
     PolyParseError,
     exceeds_parse_bits,
     format_poly,
+    grlex_key,
     parse_poly,
     power_size,
     s_names,
@@ -53,6 +54,7 @@ from .snc import (
     slope_set,
     snc_b_element,
     snc_certificate,
+    snc_factors,
     support_loci,
     support_loci_size,
 )
@@ -302,6 +304,12 @@ def _hyperplanes_json(
     return rows, all(row["passes"] for row in rows)
 
 
+def _proportional(p: MPoly, q: MPoly) -> bool:
+    """Whether the nonzero p and q agree up to a scalar factor."""
+    lead_p, lead_q = (f.terms[max(f.terms, key=grlex_key)] for f in (p, q))
+    return p * lead_q == q * lead_p
+
+
 def _cosets_json(cosets) -> list[dict]:
     out = []
     for c in sorted(set(cosets)):
@@ -386,7 +394,7 @@ class EntryRunner:
         graph = self.spec.graph
         a = self.spec.a
         slopes = slope_set(graph, a)
-        cert = cert_verified = None
+        cert = cert_verified = b_matches = None
         own_graph = False
         found = snc_certificate(self.spec.ctx, a)
         if found is not None:
@@ -397,19 +405,20 @@ class EntryRunner:
             own_graph = tuple(c.weights for c in own.components) == (
                 tuple(c.weights for c in graph.components)
             )
+            if own_graph and solved is not None:
+                b_matches = _proportional(solved[1].b, cert.b)
         cert_json = cert and cert.to_json_dict()
         # the closed-form b reads nothing of the graph but its L_k, and is
         # formatted once, in the certificate
         if own_graph:
-            b_el, b_text = cert.b, cert_json["b"]
+            b_text = cert_json["b"]
         else:
-            b_el = snc_b_element(graph, a)
-            b_text = format_poly(b_el, s_names(self.spec.r))
-        pairs, residual = self.factors(b_el)
+            b_text = format_poly(snc_b_element(graph, a), s_names(self.spec.r))
+        # the b-element is a product of known factors: none is searched for
+        pairs = snc_factors(graph, a)
         extracted, structure_ok = _hyperplanes_json(pairs, a)
         matches = (
             {h.normal for h, _ in pairs} == set(slopes)
-            and not residual
             and all(h.intercept > 0 for h, _ in pairs)
         )
         return {
@@ -420,8 +429,11 @@ class EntryRunner:
             "structure_ok": structure_ok,
             "certificate": cert_json,
             "certificate_verified": cert_verified,
-            "certificate_b_matches_graph": True if own_graph else None,
-            "ok": matches and structure_ok and cert_verified is not False,
+            "certificate_b_matches_graph": b_matches,
+            "ok": (
+                matches and structure_ok and cert_verified is not False
+                and b_matches is not False
+            ),
         }
 
     def task_zeta(self) -> dict:

@@ -7,8 +7,9 @@ number chi_k of the open stratum.  From that data the module produces:
 * the active component set for a twist a (components where the twisted
   pullback actually vanishes),
 * the slope set {primitive L_k},
-* the product b-element prod_k prod_{j=1..L_k.a} (L_k.s + j) together
-  with, for pure monomial collections, the witnessing operator
+* the product b-element prod_k prod_{j=1..L_k.a} (L_k.s + j), its
+  factors as hyperplanes, and, for pure monomial collections, the
+  witnessing operator
   prod_k d_k^(L_k.a), which `solver.verify` confirms exactly,
 * the monodromy zeta factorization prod (1 - t^L_k)^chi_k and its
   one-variable specializations,
@@ -25,7 +26,7 @@ import math
 from operator import attrgetter, mul
 from typing import Sequence
 
-from .hyperplanes import linear_form
+from .hyperplanes import Hyperplane, linear_form
 from .polynomials import MPoly, Record, _setattr, format_poly, grlex_key, primitive
 from .solver import BSCertificate
 from .torus import TorusCoset, cosets_of_character
@@ -127,10 +128,10 @@ def graph_from_exponents(
         raise ValueError("ragged exponent matrix")
     comps = []
     for k in range(n):
-        weights = tuple(int(exponents[j][k]) for j in range(r))
+        weights = tuple(exponents[j][k] for j in range(r))
         if all(w == 0 for w in weights):
             continue
-        chi = int(chis[k]) if chis is not None else 0
+        chi = chis[k] if chis is not None else 0
         comps.append(GraphComponent(weights, chi))
     return ResolutionGraph(r, tuple(comps))
 
@@ -171,6 +172,21 @@ def snc_b_element(graph: ResolutionGraph, a: Sequence[int]) -> MPoly:
         for j in range(1, la + 1):
             out = out * linear_form(weights, j)
     return out
+
+
+def snc_factors(
+    graph: ResolutionGraph, a: Sequence[int]
+) -> list[tuple[Hyperplane, int]]:
+    """The linear factors of snc_b_element(graph, a), read off the L_k: sorted
+    (hyperplane, multiplicity) pairs, as extract_hyperplanes returns them."""
+    a = tuple(a)
+    found: dict[Hyperplane, int] = {}
+    for k in support_components(graph, a):
+        weights = graph.components[k].weights
+        for j in range(1, sum(map(mul, weights, a)) + 1):
+            h = Hyperplane.canonical(weights, j)
+            found[h] = found.get(h, 0) + 1
+    return sorted(found.items())
 
 
 def b_element_size(graph: ResolutionGraph, a: Sequence[int]) -> tuple[int, int]:
@@ -237,10 +253,16 @@ class MonZeta(Record):
     def _check(self):
         acc: dict[tuple[int, ...], int] = {}
         for v, e in self.factors:
-            v = tuple(int(x) for x in v)
-            if len(v) != self.r or all(x == 0 for x in v) or any(x < 0 for x in v):
+            v = tuple(v)
+            if (
+                len(v) != self.r
+                or all(x == 0 for x in v)
+                or any(type(x) is not int or x < 0 for x in v)
+            ):
                 raise ValueError(f"bad exponent vector {v}")
-            acc[v] = acc.get(v, 0) + int(e)
+            if type(e) is not int:
+                raise ValueError(f"exponent of {v} must be an int")
+            acc[v] = acc.get(v, 0) + e
         ordered = sorted(acc.items(), key=lambda t: grlex_key(t[0]))
         _setattr(self, "factors", tuple((v, e) for v, e in ordered if e))
 
@@ -265,17 +287,17 @@ def mon_zeta(graph: ResolutionGraph) -> MonZeta:
 def sabbah_specialize(z: MonZeta, m: Sequence[int]) -> MonZeta:
     """Substitute t_i := t^(m_i), m strictly positive: exponent vectors
     contract to v.m and equal contractions merge."""
-    m = tuple(int(x) for x in m)
-    if len(m) != z.r or any(x <= 0 for x in m):
-        raise ValueError("specialization weights must be positive")
+    m = tuple(m)
+    if len(m) != z.r or any(type(x) is not int or x <= 0 for x in m):
+        raise ValueError("specialization weights must be positive ints")
     return MonZeta(1, (((sum(a * b for a, b in zip(v, m)),), e) for v, e in z.factors))
 
 
 def reweight(graph: ResolutionGraph, m: Sequence[int]) -> ResolutionGraph:
     """Graph of the product f_1^(m_1) ... f_r^(m_r): multiplicities contract."""
-    m = tuple(int(x) for x in m)
-    if len(m) != graph.r or any(x <= 0 for x in m):
-        raise ValueError("weights must be positive")
+    m = tuple(m)
+    if len(m) != graph.r or any(type(x) is not int or x <= 0 for x in m):
+        raise ValueError("weights must be positive ints")
     comps = tuple(
         GraphComponent((sum(w * x for w, x in zip(c.weights, m)),), c.chi)
         for c in graph.components

@@ -30,7 +30,9 @@ class TorusCoset(Record):
     theta: Fraction
 
     def _check(self):
-        v, theta = tuple(int(x) for x in self.v), Fraction(_coerce(self.theta))
+        v, theta = tuple(self.v), Fraction(_coerce(self.theta))
+        if any(type(x) is not int for x in v):
+            raise ValueError("character entries must be ints")
         lead = next((x for x in v if x), 0)
         if lead == 0:
             raise ValueError("character must be nonzero")

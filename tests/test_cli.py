@@ -21,6 +21,8 @@ from bsideal.cli import (
     load_specs,
     main,
 )
+from bsideal.hyperplanes import linear_form
+from bsideal.solver import BSCertificate
 
 
 def corpus_file(name):
@@ -567,6 +569,47 @@ def test_snc_task_derives_the_exponent_graph_once(monkeypatch):
     assert entry["ok"] is True
     assert entry["results"]["snc"]["certificate_b_matches_graph"] is True
     assert calls == {"monomial_exponents": 1, "graph_from_exponents": 1}
+
+
+def test_graph_only_snc_factors_nothing(tmp_path, monkeypatch):
+    # the b-element's factors are read off the graph, so a graph-only entry
+    # never runs extract_hyperplanes
+    calls = []
+    original = cli.extract_hyperplanes
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(cli, "extract_hyperplanes", counting)
+    (spec,) = load_specs([write_entry(tmp_path, **PAIR, resolution_graph={
+        "r": 2, "components": [{"L": [1, 0]}, {"L": [0, 1]}]})])
+    entry = EntryRunner(spec).run()
+    assert entry["ok"] is True
+    assert entry["results"]["snc"]["extracted"]
+    assert calls == []
+    # nothing was solved, so there is no b to compare with the graph's
+    assert entry["results"]["snc"]["certificate_b_matches_graph"] is None
+
+
+def test_solved_b_that_differs_from_the_graph_b_fails_snc(monkeypatch):
+    # the solver's b for the twist is swapped for another one, s1 + s2 + 3
+    # times the right one: the snc task compares the two and fails
+    original = cli.sample_ideal
+
+    def swapped(ctx, a, bounds):
+        ((name, cert),) = original(ctx, a, bounds)
+        other = cert.b * linear_form((1, 1), 3)
+        return [(name, BSCertificate(cert.ctx, cert.a, other, cert.P))]
+
+    monkeypatch.setattr(cli, "sample_ideal", swapped)
+    (spec,) = load_specs([corpus_file("x_xy_a11")])
+    entry = EntryRunner(spec).run()
+    snc_result = entry["results"]["snc"]
+    assert snc_result["certificate_verified"] is True
+    assert snc_result["certificate_b_matches_graph"] is False
+    assert snc_result["ok"] is False
+    assert entry["ok"] is False
 
 
 @pytest.mark.parametrize(

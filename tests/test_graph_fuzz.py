@@ -1,18 +1,26 @@
-"""Fuzzed resolution graphs: each loads or is rejected, never a traceback."""
+"""Fuzzed resolution graphs: each loads or is rejected, never a traceback;
+and the factors read off a graph are those its b-element factors into."""
 
 import contextlib
 import io
 import json
 import os
 import tempfile
+from operator import mul
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from bsideal.cli import EXIT_BOUNDS, EXIT_OK, EXIT_USAGE, main  # noqa: E402
-from bsideal.snc import ResolutionGraph  # noqa: E402
+from bsideal.hyperplanes import extract_hyperplanes  # noqa: E402
+from bsideal.snc import (  # noqa: E402
+    GraphComponent,
+    ResolutionGraph,
+    snc_b_element,
+    snc_factors,
+)
 
 LEAVES = (
     st.none()
@@ -87,3 +95,38 @@ def test_run_with_fuzzed_graph_never_crashes(data):
     assert "Traceback" not in err.getvalue()
     if code == EXIT_USAGE:
         assert "parse-error" in err.getvalue()
+
+
+@st.composite
+def graphs_with_twist(draw):
+    """A graph with r <= 3, up to 4 components with L entries in 0..3, and a
+    twist a whose b-element has degree 1..10; a component that would push
+    the degree past 10 is left out."""
+    r = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, 3)] * r).filter(any)
+    a = draw(st.tuples(*[st.integers(0, 2)] * r).filter(any))
+    comps, degree = [], 0
+    for weights in draw(st.lists(row, min_size=1, max_size=4)):
+        la = sum(map(mul, weights, a))
+        if degree + la <= 10:
+            comps.append(GraphComponent(weights, 0))
+            degree += la
+    assume(degree > 0)
+    return ResolutionGraph(r, tuple(comps)), a
+
+
+def _graph(*rows):
+    return ResolutionGraph(len(rows[0]), tuple(GraphComponent(w, 0) for w in rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_twist())
+# components whose factors merge: s + 1 from L = (1) and from L = (2), and
+# s1 + s2 + 1 from L = (1, 1) and from L = (2, 2)
+@example((_graph((1,), (2,)), (1,)))
+@example((_graph((1, 1), (2, 2), (0, 1)), (1, 1)))
+def test_graph_factors_are_the_factors_of_the_b_element(graph_and_twist):
+    graph, a = graph_and_twist
+    pairs, rem = extract_hyperplanes(snc_b_element(graph, a))
+    assert pairs == snc_factors(graph, a)
+    assert rem.is_constant()

@@ -21,7 +21,15 @@ import pytest
 import bsideal
 from bsideal.hyperplanes import Hyperplane
 from bsideal.polynomials import MPoly, Record
-from bsideal.snc import GraphComponent, MonZeta, ResolutionGraph, snc_certificate
+from bsideal.snc import (
+    GraphComponent,
+    MonZeta,
+    ResolutionGraph,
+    graph_from_exponents,
+    reweight,
+    sabbah_specialize,
+    snc_certificate,
+)
 from bsideal.solver import BSCertificate, SolveBounds
 from bsideal.torus import TorusCoset
 from bsideal.weyl import GermContext
@@ -137,6 +145,28 @@ def test_records_sort_by_their_field_tuple():
         (lambda: GraphComponent((2,), 0.5), "chi must be an int"),
         (lambda: Hyperplane((1,), 0.1), "expected int or Fraction, got float"),
         (lambda: TorusCoset((1,), 0.1), "expected int or Fraction, got float"),
+        # and int() would truncate the float to a valid value
+        (lambda: TorusCoset((0.5, 1), 0), "character entries must be ints"),
+        (lambda: MonZeta(1, [((2,), 0.5)]), "exponent of (2,) must be an int"),
+        (lambda: MonZeta(1, [((1.5,), 1)]), "bad exponent vector (1.5,)"),
+        pytest.param(
+            lambda: graph_from_exponents([(1.5, 1)]),
+            "multiplicities must be nonnegative ints",
+            id="graph_from_exponents-float-exponent",
+        ),
+        pytest.param(
+            lambda: graph_from_exponents([(1, 0)], chis=[0.5, 0]),
+            "chi must be an int",
+            id="graph_from_exponents-float-chi",
+        ),
+        (
+            lambda: sabbah_specialize(MonZeta(1, [((1,), 1)]), (1.5,)),
+            "specialization weights must be positive ints",
+        ),
+        (
+            lambda: reweight(ResolutionGraph(1, (GraphComponent((1,), 0),)), (1.5,)),
+            "weights must be positive ints",
+        ),
     ],
 )
 def test_checks_keep_their_messages(build, message):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bsideal.hyperplanes import extract_hyperplanes, linear_form
+from bsideal.hyperplanes import Hyperplane, extract_hyperplanes, linear_form
 from bsideal.polynomials import parse_poly
 from bsideal.snc import (
     EmptySupportError,
@@ -20,6 +20,7 @@ from bsideal.snc import (
     slope_set,
     snc_b_element,
     snc_certificate,
+    snc_factors,
     support_components,
     support_loci,
     support_loci_size,
@@ -90,6 +91,19 @@ def test_slope_set_frozen_and_twist_scale_invariant():
         for l in (2, 3):
             la = tuple(l * x for x in a)
             assert slope_set(X_XY, a) == slope_set(X_XY, la)
+
+
+def test_snc_factors_merge_equal_hyperplanes():
+    # L = (1) gives s + 1; L = (2) gives 2s + 1 and 2s + 2, that is
+    # s + 1/2 and s + 1 again; the inactive L = (0, 1) below gives nothing
+    assert snc_factors(graph([(1,), (2,)]), (1,)) == [
+        (Hyperplane((1,), Fraction(1, 2)), 1),
+        (Hyperplane((1,), 1), 2),
+    ]
+    assert snc_factors(graph([(1, 1), (0, 1), (2, 2)]), (1, 0)) == [
+        (Hyperplane((1, 1), Fraction(1, 2)), 1),
+        (Hyperplane((1, 1), 1), 2),
+    ]
 
 
 def test_snc_b_element_frozen():
