@@ -3,8 +3,9 @@
 Rows are dicts mapping column index to coefficient.  Elimination runs
 fraction-free on integer rows (cross-multiplied updates) so intermediate
 values stay integral; rational answers appear only when solutions are
-read off.  A working row's content is removed once, when it is placed as
-a pivot, not after every update.  `rref` is the one elimination:
+read off.  Working rows are updated in place, and a working row's
+content is removed once, when it is placed as a pivot, not after every
+update.  `rref` is the one elimination:
 `nullspace` reads its basis off the reduced rows, and `solve` reads a
 particular solution off the nullspace of the augmented rows.  Pivot
 selection is deterministic, so reduced forms, nullspace bases, and
@@ -24,17 +25,16 @@ FracRow = dict[int, Fraction]
 def clear_row(row: dict[int, Fraction | int]) -> IntRow:
     """Scale one equation so all coefficients are coprime integers.
 
-    A row that is already all int (every assembled row over an integral F)
-    skips the pass that clears denominators.
+    Always a new dict, which `rref` then updates in place.  A row that is
+    already all int (every assembled row over an integral F) skips the pass
+    that clears denominators; zeros are dropped while the content is
+    divided out.
     """
-    ints = {j: c for j, c in row.items() if c}
-    if not ints:
-        return {}
-    if any(type(c) is not int for c in ints.values()):
-        lcm = math.lcm(*(c.denominator for c in ints.values()))
-        ints = {j: c.numerator * (lcm // c.denominator) for j, c in ints.items()}
-    g = math.gcd(*ints.values())
-    return {j: v // g for j, v in ints.items()}
+    if any(type(c) is not int for c in row.values()):
+        lcm = math.lcm(*(c.denominator for c in row.values()))
+        row = {j: c.numerator * (lcm // c.denominator) for j, c in row.items()}
+    g = math.gcd(*row.values())
+    return {j: v // g for j, v in row.items() if v} if g else {}
 
 
 def _normalize(row: IntRow) -> IntRow:
@@ -46,24 +46,32 @@ def _normalize(row: IntRow) -> IntRow:
     return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
-def _eliminate(row: IntRow, piv: IntRow, col: int) -> IntRow:
-    """Fraction-free update a*row - b*piv, a/b = piv[col]/row[col] reduced,
-    of a row that holds col.
+def _eliminate(row: IntRow, piv: IntRow, col: int) -> list[int]:
+    """Fraction-free update row <- a*row - b*piv, a/b = piv[col]/row[col]
+    reduced, made in place on a row that holds col.
 
-    The result keeps its content: `rref` removes it when it places the
-    row, and after each back-substitution update.
+    Returns the columns the update added to row.  The row keeps its
+    content: `rref` removes it when it places the row, and after each
+    back-substitution update.
     """
-    a, b = piv[col], row[col]
+    a, b = piv[col], row.pop(col)
     g = math.gcd(a, b)
     a, b = a // g, b // g
-    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    added = []
     for j, v in piv.items():
-        s = out.get(j, 0) - b * v
-        if s:
-            out[j] = s
-        else:
-            del out[j]
-    return out
+        if j in row:
+            s = row[j] - b * v
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+        elif j != col:
+            row[j] = -b * v
+            added.append(j)
+    return added
 
 
 def rref(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, IntRow]]:
@@ -75,12 +83,15 @@ def rref(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, IntRow]]:
     The forward pass visits columns in ascending order, takes the shortest
     working row holding the column as pivot row (the earliest on a tie) and
     eliminates the column from the other working rows that hold it, found
-    through a column index.  A working row's content is removed once, when
-    it is placed, not after each update.  Scaling a row does not change its
+    through a column index.  Each update is made in place on the working
+    row, which is the new dict `clear_row` made of an input row, so the
+    caller's rows are never changed; the columns it adds are listed under
+    that row.  A row's content is removed once, when it is placed, not
+    after each update.  Scaling a row does not change its
     length, so neither the pivot choices nor the primitive reduced rows
     depend on when content is removed.  Placed rows are left alone until
-    one back-substitution pass in descending pivot order, which makes each
-    updated row primitive again.
+    one back-substitution pass in descending pivot order, which updates
+    each placed row in place and then makes it primitive again.
     """
     work: dict[int, IntRow] = {}
     # column -> ids of working rows that held it when listed; a row that
@@ -101,13 +112,10 @@ def rref(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, IntRow]]:
         piv = _normalize(work.pop(best))
         held.discard(best)
         for i in held:
-            old = work[i]
-            new = _eliminate(old, piv, col)
-            for j in new.keys() - old.keys():
+            row = work[i]
+            for j in _eliminate(row, piv, col):
                 holders[j].append(i)
-            if new:
-                work[i] = new
-            else:
+            if not row:
                 del work[i]
         placed.append((col, piv))
     # Every placed row is zero in the earlier pivot columns, so reducing in
@@ -121,7 +129,8 @@ def rref(rows: Iterable[dict[int, Fraction | int]]) -> list[tuple[int, IntRow]]:
     for col, piv in reversed(placed):
         for k in above[col]:
             c, r = placed[k]
-            placed[k] = (c, _normalize(_eliminate(r, piv, col)))
+            _eliminate(r, piv, col)
+            placed[k] = (c, _normalize(r))
     return placed
 
 

@@ -1,5 +1,6 @@
 """Fraction-free elimination cross-checked against a dense Fraction oracle."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -216,6 +217,23 @@ def test_solve_random_systems():
             assert got == want
 
 
+def test_rref_when_a_row_regains_a_column():
+    # The last row loses column 2 when column 0 is eliminated and gets it
+    # back when column 1 is, so the column index lists it under column 2
+    # twice; it must still be updated once there.
+    rows = [{0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}]
+    assert rref(rows) == [
+        (0, {0: 1, 3: 1, 4: 1}),
+        (1, {1: 1, 3: 1, 4: 1}),
+        (2, {2: 1, 3: -1, 4: -1}),
+    ]
+    assert rref(rows) == reference_rref(rows)
+    assert nullspace(rows, 5) == [
+        {3: 1, 0: -1, 1: -1, 2: 1},
+        {4: 1, 0: -1, 1: -1, 2: 1},
+    ]
+
+
 def test_rref_rational_monic():
     rows = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 1: Fraction(3)}]
     red = rref_rational(rows)
@@ -351,13 +369,19 @@ def long_row_systems(draw):
 @given(sparse_systems())
 def test_rref_matches_reference_on_sparse_systems(system):
     ncols, rows = system
+    before = copy.deepcopy(rows)
     assert rref(rows) == reference_rref(rows)
     assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+    # rref updates its own copies of the rows in place, never the caller's
+    assert rows == before
 
 
 @settings(max_examples=100, deadline=None)
 @given(long_row_systems())
 def test_rref_matches_reference_on_long_rows(system):
     ncols, rows = system
+    before = copy.deepcopy(rows)
     assert rref(rows) == reference_rref(rows)
     assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+    # rref updates its own copies of the rows in place, never the caller's
+    assert rows == before

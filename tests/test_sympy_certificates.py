@@ -10,15 +10,20 @@ The symbols carry no assumptions: with positive=True sympy would split
 (x^2)^s into x^(2s), and the powers of f_i could no longer be told apart.
 """
 
+import importlib.util
 import json
 import math
+import os
+import sys
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from bsideal.cli import EXIT_OK, main  # noqa: E402
+from bsideal.cli import EXIT_BOUNDS, EXIT_OK, main  # noqa: E402
 from bsideal.polynomials import s_names  # noqa: E402
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
 
 # the graph-only entries of the multi-param benchmark workload: the rows of
 # the exponent matrix (one f_j each) and the twist a
@@ -31,8 +36,8 @@ GRAPH_ONLY = (
 NAMES = ("x", "y", "z", "w")
 
 
-def report(argv, capsys) -> list[dict]:
-    assert main(["run", "--json", *argv]) == EXIT_OK
+def report(argv, capsys, exit_code=EXIT_OK) -> list[dict]:
+    assert main(["run", "--json", *argv]) == exit_code
     return json.loads(capsys.readouterr().out)["entries"]
 
 
@@ -126,3 +131,29 @@ def test_the_check_rejects_a_wrong_b_or_a_flipped_sign(capsys):
     for label, variables, cert in certs:
         assert not holds(variables, {**cert, "b": cert["b"] + " + 1"}), label
         assert not holds(variables, cert, flip_sign=True), label
+
+
+def load_workloads(monkeypatch):
+    if not os.path.exists(WORKLOADS):
+        pytest.skip("bench/workloads.py is not part of this checkout")
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass looks its module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# bp-ladder exits 3 by design: two of its rungs run in a box too small for b_f
+@pytest.mark.parametrize(
+    "workload, exit_code, count",
+    [("bp-ladder", EXIT_BOUNDS, 5), ("multi-param", EXIT_OK, 14)],
+)
+def test_every_printed_benchmark_certificate_holds(
+    workload, exit_code, count, tmp_path, capsys, monkeypatch
+):
+    wl = load_workloads(monkeypatch).generate(workload, 1, str(tmp_path / workload))
+    certs = printed_certificates(report(wl.paths, capsys, exit_code))
+    assert len(certs) == count
+    failed = [label for label, variables, cert in certs if not holds(variables, cert)]
+    assert failed == []
