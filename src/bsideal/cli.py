@@ -54,6 +54,7 @@ from .snc import (
     slope_set,
     snc_b_element,
     snc_certificate,
+    snc_degree,
     snc_factors,
     support_loci,
     support_loci_size,
@@ -342,20 +343,26 @@ class EntryRunner:
             (self._certs[a],) = found
         return self._certs[a]
 
-    def factors(self, b: MPoly):
-        """b's linear factors as sorted (hyperplane, multiplicity) pairs, and
-        whether a nonconstant factor is left over."""
-        if b not in self._factors:
-            pairs, rem = extract_hyperplanes(b)
-            self._factors[b] = pairs, rem.total_degree() > 0
-        return self._factors[b]
-
     def ideal_hyperplanes(self, a: tuple[int, ...]):
-        """`factors` of the canonical b for twist a.
+        """The canonical b for twist a as sorted (hyperplane, multiplicity)
+        pairs, and whether a nonconstant factor is left over.
 
+        With a graph whose b-element for a has degree at most deg b, its
+        hyperplanes are divided out first and the search runs on what is
+        left; the pairs are b's factors either way.
         Z(B_F^a) lies in Z(b), so these hyperplanes over-approximate its
         codimension-one part; they are exact when b generates B_F^a."""
-        return self.factors(self.certificate(a)[1].b)
+        b = self.certificate(a)[1].b
+        if b not in self._factors:
+            graph = self.spec.graph
+            candidates = ()
+            # the graph lists sum_k L_k.a factors, and at most deg b of them
+            # can divide b: a longer list is not built
+            if graph is not None and snc_degree(graph, a) <= b.total_degree():
+                candidates = [h for h, _ in snc_factors(graph, a)]
+            pairs, rem = extract_hyperplanes(b, candidates)
+            self._factors[b] = pairs, rem.total_degree() > 0
+        return self._factors[b]
 
     def exp_set(self, a: tuple[int, ...]) -> set[TorusCoset]:
         return {exp_image(h) for h, _ in self.ideal_hyperplanes(a)[0]}

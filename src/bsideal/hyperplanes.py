@@ -6,16 +6,23 @@ returning factors with multiplicity plus the unfactored remainder; the
 product always reconstructs the input exactly.  Factors whose slope has
 entries of both signs stay in the remainder.
 
-Candidate slopes are the linear factors L.s of the top-degree form T,
+A caller that expects some factors, such as the hyperplanes L_k.s + j a
+resolution graph predicts, passes them as candidates: each is divided
+out first by exact division, as often as it divides, and the search
+below runs only on the remainder.  A candidate that is not a factor
+costs one failed division; factorization in Z[s] is unique, so the
+answer is the same with or without candidates.
+
+The search takes its slopes from the top-degree form T of the remainder,
 found by recursion on the number of variables: L.s with L_1 != 0 divides
 T exactly when L_1 + L'.s' divides T(1, s'), an affine factor in one
-variable fewer.  Candidate intercepts come from rational roots of the
-restriction of the polynomial to a deterministic line in direction L;
-they over-generate and every candidate is confirmed by exact division,
-so the factorization is complete.
+variable fewer.  Its intercepts come from rational roots of the
+restriction of the remainder to a deterministic line in direction L;
+they over-generate and every one is confirmed by exact division, so the
+factorization is complete.
 
 All of it runs in Z[s]: p = c * p~ once, with c rational and p~
-primitive, and a candidate L.s + u/v is divided out as its primitive
+primitive, and a hyperplane L.s + u/v is divided out as its primitive
 form v*L.s + u.  An exact quotient of primitive polynomials is integral
 (Gauss's lemma), so the division stops at the first coefficient that the
 form's lead does not divide.
@@ -207,11 +214,32 @@ def _top_slopes(top: MPoly) -> list[tuple[int, ...]]:
     return sorted(out, key=grlex_key)
 
 
-def extract_hyperplanes(p: MPoly) -> tuple[list[tuple[Hyperplane, int]], MPoly]:
+def _divide_out(
+    terms: dict[tuple[int, ...], int],
+    h: Hyperplane,
+    degree: int,
+    found: dict[Hyperplane, int],
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Divide h's primitive form v*L.s + u out of terms as often as it
+    divides, counting each division in found: (quotient, degree left)."""
+    u, v = h.intercept.numerator, h.intercept.denominator
+    form = [v * x for x in h.normal]
+    while degree and (q := _divide_linear(terms, form, u)) is not None:
+        terms, degree = q, degree - 1
+        found[h] = found.get(h, 0) + 1
+    return terms, degree
+
+
+def extract_hyperplanes(
+    p: MPoly, candidates: Iterable[Hyperplane] = ()
+) -> tuple[list[tuple[Hyperplane, int]], MPoly]:
     """All hyperplane factors with nonnegative slopes, plus remainder.
 
     Returns (sorted [(hyperplane, multiplicity)], remainder); the product of
-    the factors times the remainder equals p exactly.
+    the factors times the remainder equals p exactly.  Each candidate with
+    a nonnegative normal is divided out first, as often as it divides, and
+    the slope search runs on what is left.  Factorization in Z[s] is
+    unique, so the candidates change the cost, never the answer.
     """
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
@@ -221,7 +249,11 @@ def extract_hyperplanes(p: MPoly) -> tuple[list[tuple[Hyperplane, int]], MPoly]:
     rem = dict(zip(p.terms, ints))
     found: dict[Hyperplane, int] = {}
     degree = p.total_degree()
-    for L in _top_slopes(p.top_form()):
+    for h in candidates:
+        if h not in found and min(h.normal) >= 0:
+            rem, degree = _divide_out(rem, h, degree, found)
+    # the search's slopes are those of the remainder's top form
+    for L in _top_slopes(MPoly._raw(r, rem).top_form()):
         if not degree:
             break
         # deterministic offset giving a nonzero line restriction
@@ -234,13 +266,9 @@ def extract_hyperplanes(p: MPoly) -> tuple[list[tuple[Hyperplane, int]], MPoly]:
         ll = sum(v * v for v in L)
         lc = sum(v * c for v, c in zip(L, offset))
         for t0 in rational_roots(coeffs):
-            h = Hyperplane(L, -ll * t0 - lc)
-            u, v = h.intercept.numerator, h.intercept.denominator
-            form = [v * x for x in L]
-            while degree and (q := _divide_linear(rem, form, u)) is not None:
-                rem, degree = q, degree - 1
-                scale *= v
-                found[h] = found.get(h, 0) + 1
+            rem, degree = _divide_out(rem, Hyperplane(L, -ll * t0 - lc), degree, found)
+    for h, m in found.items():
+        scale *= h.intercept.denominator ** m
     ordered = sorted(found.items())
     return ordered, MPoly(r, {e: scale * c for e, c in rem.items()})
 

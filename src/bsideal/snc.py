@@ -23,6 +23,7 @@ the bundled corpus rather than assumed.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from operator import attrgetter, mul
 from typing import Sequence
 
@@ -183,8 +184,11 @@ def snc_factors(
     found: dict[Hyperplane, int] = {}
     for k in support_components(graph, a):
         weights = graph.components[k].weights
+        # L_k.s + j is g * (normal.s + j/g): weights are nonnegative
+        g = math.gcd(*weights)
+        normal = tuple(w // g for w in weights)
         for j in range(1, sum(map(mul, weights, a)) + 1):
-            h = Hyperplane.canonical(weights, j)
+            h = Hyperplane(normal, Fraction(j, g))
             found[h] = found.get(h, 0) + 1
     return sorted(found.items())
 
@@ -197,12 +201,17 @@ def b_element_size(graph: ResolutionGraph, a: Sequence[int]) -> tuple[int, int]:
     terms, and its height is at most the product of the factors' heights
     sum(L_k) + j <= sum(L_k) + L_k.a.  An inactive component has L_k.a = 0.
     """
-    degree = log_height = 0
+    log_height = 0
     for c in graph.components:
         la = sum(map(mul, c.weights, a))
-        degree += la
         log_height += la * (sum(c.weights) + la).bit_length()
-    return math.comb(degree + graph.r, graph.r), log_height
+    return math.comb(snc_degree(graph, a) + graph.r, graph.r), log_height
+
+
+def snc_degree(graph: ResolutionGraph, a: Sequence[int]) -> int:
+    """The degree of snc_b_element(graph, a), sum_k L_k.a, found without
+    multiplying; it is also the number of factors snc_factors counts."""
+    return sum(sum(map(mul, c.weights, a)) for c in graph.components)
 
 
 def monomial_exponents(ctx: GermContext) -> list[tuple[int, ...]] | None:

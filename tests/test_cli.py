@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from bsideal import cli, snc, solver, weyl
+from bsideal import cli, hyperplanes, snc, solver, weyl
 from bsideal.cli import (
     EXIT_BOUNDS,
     EXIT_CHECK_FAILED,
@@ -577,9 +577,9 @@ def test_graph_only_snc_factors_nothing(tmp_path, monkeypatch):
     calls = []
     original = cli.extract_hyperplanes
 
-    def counting(p):
+    def counting(p, *args):
         calls.append(p)
-        return original(p)
+        return original(p, *args)
 
     monkeypatch.setattr(cli, "extract_hyperplanes", counting)
     (spec,) = load_specs([write_entry(tmp_path, **PAIR, resolution_graph={
@@ -590,6 +590,85 @@ def test_graph_only_snc_factors_nothing(tmp_path, monkeypatch):
     assert calls == []
     # nothing was solved, so there is no b to compare with the graph's
     assert entry["results"]["snc"]["certificate_b_matches_graph"] is None
+
+
+@pytest.fixture
+def root_searches(monkeypatch):
+    """The line restrictions extraction solves, one per rational_roots call."""
+    calls = []
+    original = hyperplanes.rational_roots
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return original(coeffs)
+
+    monkeypatch.setattr(hyperplanes, "rational_roots", counting)
+    return calls
+
+
+def test_own_graph_factors_the_solved_b_without_a_search(root_searches):
+    # every twist's b is its graph's b-element, so the graph's hyperplanes
+    # divide it out completely and no line restriction is ever solved
+    (spec,) = load_specs([corpus_file("x_xy_a11")])
+    entry = EntryRunner(spec).run()
+    assert entry["ok"] is True
+    assert entry["results"]["decompose"]["hyperplanes"]
+    assert root_searches == []
+
+
+def test_wrong_graph_leaves_the_solved_b_factors_unchanged(tmp_path, root_searches):
+    # a graph whose hyperplanes are not all factors of b: s1 + 1 and
+    # s2 + 1/2 fail to divide, s2 + 1 divides, and the search finds the rest
+    fields = {
+        "variables": ["x", "y"],
+        "F": ["x", "x*y"],
+        "a": [1, 1],
+        "bounds": {"order": 3, "x_degree": 0, "s_degree": 0, "b_degree": 3},
+        "tasks": ["decompose", "exp-compare"],
+    }
+    wrong = {"r": 2, "components": [{"L": [1, 0]}, {"L": [0, 2]}]}
+    specs = load_specs([
+        write_entry(tmp_path, "bare", **fields),
+        write_entry(tmp_path, "wrong", resolution_graph=wrong, **fields),
+    ])
+    bare, wrong_graph = (EntryRunner(spec).run()["results"] for spec in specs)
+    assert root_searches
+    assert bare["decompose"]["ok"] is True
+    assert wrong_graph["decompose"] == bare["decompose"]
+    for key in ("per_axis", "combined_exp", "axis_union_matches_combined"):
+        assert wrong_graph["exp-compare"][key] == bare["exp-compare"][key]
+
+
+@pytest.mark.parametrize(
+    "big, tasks",
+    [
+        ([0, 10**8], ["decompose"]),
+        ([1, 10**8], ["decompose", "exp-compare"]),
+    ],
+    ids=["decompose", "exp-compare"],
+)
+def test_graph_longer_than_b_is_not_listed(tmp_path, big, tasks):
+    # the graph's b-element has about 10**8 factors and b has 3: listing
+    # the graph's hyperplanes as candidates would not finish, so the search
+    # runs alone and finds what it finds without the graph
+    fields = {
+        "variables": ["x", "y"],
+        "F": ["x", "x*y"],
+        "a": [1, 1],
+        "bounds": {"order": 3, "x_degree": 0, "s_degree": 0, "b_degree": 3},
+        "tasks": tasks,
+    }
+    graph = {"r": 2, "components": [{"L": [1, 1]}, {"L": big}]}
+    specs = load_specs([
+        write_entry(tmp_path, "bare", **fields),
+        write_entry(tmp_path, "big", resolution_graph=graph, **fields),
+    ])
+    bare, big_graph = (EntryRunner(spec).run()["results"] for spec in specs)
+    assert bare["decompose"]["ok"] is True
+    assert big_graph["decompose"] == bare["decompose"]
+    if "exp-compare" in tasks:
+        for key in ("per_axis", "combined_exp", "axis_union_matches_combined"):
+            assert big_graph["exp-compare"][key] == bare["exp-compare"][key]
 
 
 def test_solved_b_that_differs_from_the_graph_b_fails_snc(monkeypatch):

@@ -19,6 +19,7 @@ from bsideal.snc import (  # noqa: E402
     GraphComponent,
     ResolutionGraph,
     snc_b_element,
+    snc_degree,
     snc_factors,
 )
 
@@ -127,6 +128,8 @@ def _graph(*rows):
 @example((_graph((1, 1), (2, 2), (0, 1)), (1, 1)))
 def test_graph_factors_are_the_factors_of_the_b_element(graph_and_twist):
     graph, a = graph_and_twist
-    pairs, rem = extract_hyperplanes(snc_b_element(graph, a))
+    b = snc_b_element(graph, a)
+    pairs, rem = extract_hyperplanes(b)
     assert pairs == snc_factors(graph, a)
     assert rem.is_constant()
+    assert snc_degree(graph, a) == b.total_degree() == sum(m for _, m in pairs)

@@ -138,6 +138,52 @@ def test_extract_refactors_exactly_random():
         assert rebuilt == p
 
 
+def test_extract_with_candidates_matches_search():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def problems(draw):
+        r = draw(st.integers(1, 3))
+        slope = st.lists(st.integers(0, 4), min_size=r, max_size=r).filter(any)
+        intercept = st.fractions(min_value=-3, max_value=5, max_denominator=3)
+        forms = draw(st.lists(
+            st.tuples(slope, intercept, st.integers(1, 3)), max_size=4
+        ))
+        p = MPoly.const(r, draw(st.fractions(min_value=-9, max_value=9).filter(bool)))
+        for normal, b, m in forms:
+            p = p * linear_form(normal, b) ** m
+        if draw(st.booleans()):
+            p = p * (MPoly.variable(r, 0) ** 2 + MPoly.variable(r, r - 1) ** 2 + 1)
+        # non-factors may have slopes of either sign; duplicates and a factor
+        # listed once that divides twice come from the drawing
+        other = st.builds(
+            Hyperplane.canonical,
+            st.lists(st.integers(-2, 4), min_size=r, max_size=r).filter(any),
+            intercept,
+        )
+        true = [Hyperplane.canonical(normal, b) for normal, b, _ in forms]
+        pick = st.one_of(st.sampled_from(true), other) if true else other
+        return p, draw(st.lists(pick, max_size=8))
+
+    @settings(max_examples=80, deadline=None)
+    @given(problems())
+    def check(problem):
+        p, candidates = problem
+        assert extract_hyperplanes(p, candidates) == extract_hyperplanes(p)
+
+    check()
+
+
+def test_extract_skips_candidates_with_mixed_slopes():
+    # s1 - s2 + 1 divides p, but its slope has both signs: it stays in the
+    # remainder, as it does without candidates
+    p = sp("(s1 - s2 + 1) * (s1 + 1)", 2)
+    mixed = Hyperplane((1, -1), Fraction(1))
+    assert extract_hyperplanes(p, [mixed]) == extract_hyperplanes(p)
+    assert extract_hyperplanes(p)[0] == [(Hyperplane((1, 0), Fraction(1)), 1)]
+
+
 def test_extract_finds_slopes_of_any_size():
     p = sp("9*s1 + s2 + 1", 2)
     factors, rem = extract_hyperplanes(p)

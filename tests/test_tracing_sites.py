@@ -8,6 +8,7 @@ longer calls reads 0 in every traced run; those are declared in BENCH_ONLY.
 
 import importlib
 import importlib.util
+import json
 import os
 
 import pytest
@@ -37,7 +38,19 @@ def test_traced_sites_resolve():
     assert callable(cli.EntryRunner.run)
 
 
-def test_untraced_sites_are_declared(capsys):
+def test_untraced_sites_are_declared(tmp_path, capsys):
+    # every corpus entry has a resolution graph, and its hyperplanes divide
+    # out the whole of the solved b, so extraction never searches there; a
+    # graph-less entry keeps the search, and ratroots.rational_roots, reached
+    cusp = tmp_path / "cusp.json"
+    cusp.write_text(json.dumps({
+        "id": "cusp",
+        "variables": ["x", "y"],
+        "F": ["x^2 + y^3"],
+        "a": [1],
+        "bounds": {"order": 3, "x_degree": 3, "s_degree": 2, "b_degree": 3},
+        "tasks": ["bs-find", "decompose"],
+    }))
     tracing = load_tracing()
     modules = {
         name: importlib.import_module(f"bsideal.{name}")
@@ -46,7 +59,7 @@ def test_untraced_sites_are_declared(capsys):
     tracer = tracing.Tracer(modules)
     tracer.install()
     try:
-        assert modules["cli"].main(["run", "--seed-corpus", "--json"]) == 0
+        assert modules["cli"].main(["run", "--seed-corpus", "--json", str(cusp)]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
