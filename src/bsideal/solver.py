@@ -36,7 +36,16 @@ assembled, and no germ derivative is taken for an operator monomial that
 has none in the piece.  When W = {0} this keeps everything.  The system is
 written over the frame f^(s - D), with D = max(0, -e) over the exponent
 vectors e of the germs it uses; f^D scales every column alike, so (b, P)
-is the certificate of the whole system.  The size cap applies to the
+is the certificate of the whole system.
+
+Within the piece, b column tau is -f^D * s^tau with f^D in Q[x], so a row
+x^mu s^kappa holds at most one b column, the one with tau = kappa.  A b
+column with a row that no operator column reaches is alone in that row,
+so it is 0 in every kernel vector and never free: the operator columns
+are assembled first, and a b column is kept only when every one of its
+rows is already an operator row.  The reduced system of the kept columns
+is the old one without each left-out column and its unit row, so (b, P)
+is the same.  The size cap counts rows x columns of what is left, the
 piece that is eliminated.
 """
 
@@ -44,7 +53,7 @@ from __future__ import annotations
 
 import math
 from operator import add, attrgetter, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .polynomials import MPoly, Record, Scalar, format_poly, grlex_key, iter_monomials
@@ -155,12 +164,6 @@ def _validate_twist(ctx: GermContext, a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _shifted(poly: MPoly, shift: Exps) -> Iterable[tuple[Exps, Scalar]]:
-    """Terms of poly times the monomial whose exponents are shift."""
-    for mono, c in poly.terms.items():
-        yield tuple(map(add, mono, shift)), c
-
-
 def find_bs_pair(
     ctx: GermContext, a: Sequence[int], bounds: SolveBounds
 ) -> BSCertificate | None:
@@ -175,10 +178,6 @@ def find_bs_pair(
 
     germ_for = derivative_table(GermElement.power(ctx, a), partial_derivative)
 
-    alphas = list(iter_monomials(n, bounds.max_x_degree))
-    sigmas = list(iter_monomials(r, bounds.max_s_degree))
-    taus = list(iter_monomials(r, bounds.max_b_degree))
-
     # Weight grading: under every w in W, column (beta, alpha, sigma) has
     # x-degree (D + a).deg_w(f) + w.(alpha - beta) and the b columns have
     # D.deg_w(f).  Every row is one monomial, so it holds columns of
@@ -188,15 +187,14 @@ def find_bs_pair(
     # deg_w(f^a) = w.E, with E the x-exponent of one term of f^a
     lead = [next(iter(f.terms)) for f in ctx.F]
     target = ctx.weight([sum(ai * e[j] for ai, e in zip(a, lead)) for j in range(n)])
-    by_weight: dict[tuple[int, ...], list[Exps]] = {}
-    for alpha in alphas:
-        by_weight.setdefault(ctx.weight(alpha), []).append(alpha)
+    by_weight, betas = ctx.grading(bounds.max_x_degree, bounds.max_operator_order)
     graded = [
         (beta, kept)
-        for beta in iter_monomials(n, bounds.max_operator_order)
-        if (kept := by_weight.get(tuple(map(sub, ctx.weight(beta), target))))
+        for beta, w in betas
+        if (kept := by_weight.get(tuple(map(sub, w, target))))
     ]
     D = tuple(max([0, *(-germ_for(b).exps[i] for b, _ in graded)]) for i in range(r))
+    sigmas = list(iter_monomials(r, bounds.max_s_degree))
 
     ucols: list[tuple[Exps, Exps, Exps]] = [
         (beta, alpha, sigma)
@@ -205,26 +203,47 @@ def find_bs_pair(
         for sigma in sigmas
     ]
     U = len(ucols)
-    ncols = U + len(taus)
 
     # Column (beta, alpha, sigma) is germ_for(beta) over the frame
     # f^(s - D), num * f^(D + exps), times x^alpha s^sigma: one product per
-    # beta, then exponent shifts.  Column U + t is -f^D s^taus[t].
+    # beta, then exponent shifts.
     rows: dict[Exps, dict[int, Scalar]] = {}
     col = 0
     for beta, kept in graded:
         g = germ_for(beta)
         base = g.num * ctx.f_power(tuple(map(add, D, g.exps)))
+        terms = base.terms.items()
         for alpha in kept:
             for sigma in sigmas:
-                for mono, c in _shifted(base, alpha + sigma):
-                    rows.setdefault(mono, {})[col] = c
+                shift = alpha + sigma
+                for mono, c in terms:
+                    m = tuple(map(add, mono, shift))
+                    row = rows.get(m)
+                    if row is None:
+                        rows[m] = {col: c}
+                    else:
+                        row[col] = c
                 col += 1
-    rhs = -ctx.f_power(D)
-    for tau in taus:
-        for mono, c in _shifted(rhs, (0,) * n + tau):
-            rows.setdefault(mono, {})[col] = c
-        col += 1
+
+    # b column tau is -f^D s^tau, kept only when each of its rows already
+    # holds an operator column (see the module docstring); the kept ones
+    # take columns U, U + 1, ... in ascending graded lex.
+    rhs = list((-ctx.f_power(D)).terms.items())
+    taus: list[Exps] = []
+    for tau in iter_monomials(r, bounds.max_b_degree):
+        shift = (0,) * n + tau
+        reached = []
+        for mono, c in rhs:
+            row = rows.get(tuple(map(add, mono, shift)))
+            if row is None:
+                break
+            reached.append((row, c))
+        else:
+            for row, c in reached:
+                row[col] = c
+            taus.append(tau)
+            col += 1
+    ncols = col
 
     if len(rows) * ncols > CELL_CAP:
         raise SolveCapExceeded(

@@ -38,7 +38,8 @@ from typing import Callable, Sequence
 
 from .linalg import nullspace
 from .polynomials import (
-    MPoly, Record, Scalar, _setattr, format_poly, grlex_key, primitive, s_names
+    MPoly, Record, Scalar, _setattr, format_poly, grlex_key, iter_monomials, primitive,
+    s_names,
 )
 
 Exps = tuple[int, ...]
@@ -98,12 +99,18 @@ class GermContext(Record):
     differences between the x-exponents of the terms of each f_i.  It is
     empty when no nonzero w grades every f_i (a constant term next to a
     nonconstant one, say), and spans Q^n for a monomial collection.
+    `grading(x_degree, order)` groups the x-monomials and d-monomials of a
+    solver box by w-degree; it is built on first use and kept in
+    `_grading_cache`, so the twists solved in one box share it.
 
     Two contexts are equal when their x names and F are: the s names and
-    the weights follow from those, and the two caches stay out.
+    the weights follow from those, and the three caches (`f_power`,
+    `product_rule` and `grading`) stay out.
     """
 
-    __slots__ = ("x_names", "s_vars", "F", "weights", "_power_cache", "_rule_cache")
+    __slots__ = (
+        "x_names", "s_vars", "F", "weights", "_power_cache", "_rule_cache", "_grading_cache"
+    )
     _values = property(attrgetter("x_names", "F"))
 
     def __init__(self, x_names: Sequence[str], F: Sequence[MPoly]):
@@ -123,7 +130,7 @@ class GermContext(Record):
             primitive([w.get(j, 0) for j in range(n)])[1] for w in nullspace(diffs, n)
         )
         lifted = tuple(f.padded(0, r) for f in F)
-        super().__init__(tuple(x_names), tuple(s_names(r)), lifted, weights, {}, {})
+        super().__init__(tuple(x_names), tuple(s_names(r)), lifted, weights, {}, {}, {})
 
     @property
     def n(self) -> int:
@@ -140,6 +147,24 @@ class GermContext(Record):
     def weight(self, exps: Sequence[int]) -> tuple[int, ...]:
         """The w-degree w . exps of an x-exponent under each basis vector of W."""
         return tuple(sum(map(mul, w, exps)) for w in self.weights)
+
+    def grading(
+        self, x_degree: int, order: int
+    ) -> tuple[dict[tuple[int, ...], list[Exps]], list[tuple[Exps, tuple[int, ...]]]]:
+        """The weight grading of a solver box, built on first use: the
+        x-monomials of degree <= x_degree grouped by w-degree, in graded
+        lex within each group, and each d-monomial of order <= order with
+        its w-degree.  Every twist solved in that box on this context
+        shares it."""
+        key = (x_degree, order)
+        grading = self._grading_cache.get(key)
+        if grading is None:
+            by_weight: dict[tuple[int, ...], list[Exps]] = {}
+            for alpha in iter_monomials(self.n, x_degree):
+                by_weight.setdefault(self.weight(alpha), []).append(alpha)
+            betas = [(beta, self.weight(beta)) for beta in iter_monomials(self.n, order)]
+            grading = self._grading_cache[key] = (by_weight, betas)
+        return grading
 
     def one(self) -> MPoly:
         return MPoly.const(self.nvars, 1)

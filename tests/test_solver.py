@@ -11,7 +11,7 @@ from operator import add, ge, mul
 import pytest
 
 from bsideal import linalg, solver, weyl
-from bsideal.cli import corpus_paths, load_specs
+from bsideal.cli import corpus_paths, load_specs, main
 from bsideal.hyperplanes import Hyperplane, extract_hyperplanes
 from bsideal.polynomials import MPoly, format_poly, grlex_key, iter_monomials, parse_poly, s_names
 from bsideal.snc import snc_certificate
@@ -134,10 +134,11 @@ def test_twist_validation():
 # linalg.nullspace.  The certificates were recorded from a
 # solver that multiplied whole polynomials per column, eliminated the whole
 # system and recovered P by a second elimination, so they pin P against how
-# it is computed; the sizes are those of the weight-graded piece that holds
-# the b columns (the whole systems were (308, 304, 1812), (257, 124, 702),
-# (244, 124, 822), (124, 64, 158) and (754, 905, 8120), (622, 305, 2780),
-# (622, 305, 2780), (566, 185, 1280)).
+# it is computed.  The sizes are those of the weight-graded piece that
+# holds the b columns, less the b columns no operator column reaches: one
+# for [x, x*y], which read (15, 16, 29) with it.  The whole systems were
+# (308, 304, 1812), (257, 124, 702), (244, 124, 822), (124, 64, 158) and
+# (754, 905, 8120), (622, 305, 2780), (622, 305, 2780), (566, 185, 1280).
 PINNED = [
     (
         ["x^2 + y^3"],
@@ -177,7 +178,7 @@ PINNED = [
             "+ 15*s1*s2^2 + 7*s2^3 + 6*s1^2 + 23*s1*s2 + 17*s2^2 + 11*s1 + 17*s2 + 6",
             "P": "dx^3*dy",
         },
-        [(15, 16, 29)],
+        [(14, 15, 28)],
     ),
     # powers g^m of a smooth g, where b = prod_{j=1..m} (s + j/m); a germ
     # keeps every f it is differentiated through in its numerator, so every
@@ -357,8 +358,14 @@ def full_system_certificate(ctx, a, bounds):
     f as free column.  The two must agree; returns their (b, P), or None.
     """
     ucols, taus, rows = full_system(ctx, a, bounds)
+    basis = linalg.nullspace(rows, len(ucols) + len(taus))
+    return kernel_certificate(ctx, ucols, taus, basis)
+
+
+def kernel_certificate(ctx, ucols, taus, basis):
+    """`full_system_certificate` read off a kernel basis of the whole
+    system that full_system returned as (ucols, taus, rows)."""
     U, T = len(ucols), len(taus)
-    basis = linalg.nullspace(rows, U + T)
     b_vectors = [vec for vec in basis if max(vec) >= U]
     if not b_vectors:
         return None
@@ -473,10 +480,26 @@ def b_block_columns(ncols, U, rows):
     return seen
 
 
-def bp_rungs():
+def graded_columns(ctx, a, ucols):
+    """The operator columns (beta, alpha, sigma) of the whole system, by
+    index, with w.(beta - alpha) = deg_w(f^a) for every w in W."""
+    # E: the x-exponent of f^a built from one term of each f_i
+    E = [0] * ctx.n
+    for ai, f in zip(a, ctx.F):
+        E = [x + ai * e for x, e in zip(E, next(iter(f.terms)))]
+    target = ctx.weight(E)
+    return {
+        t
+        for t, (beta, alpha, _) in enumerate(ucols)
+        if tuple(x - y for x, y in zip(ctx.weight(beta), ctx.weight(alpha))) == target
+    }
+
+
+def bench_workloads():
+    """bench/workloads.py as a module, or None when the checkout has no bench/."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
     if not os.path.exists(path):
-        return []
+        return None
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
@@ -484,6 +507,13 @@ def bp_rungs():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
+    return module
+
+
+def bp_rungs():
+    module = bench_workloads()
+    if module is None:
+        return []
     names = ["x", "y", "z", "w"]
     return [
         (
@@ -504,20 +534,64 @@ def test_graded_columns_contain_the_b_block():
         ucols, taus, rows = full_system(ctx, a, bounds)
         U = len(ucols)
         block = b_block_columns(U + len(taus), U, rows)
-        # E: the x-exponent of f^a built from one term of each f_i
-        E = [0] * ctx.n
-        for ai, f in zip(a, ctx.F):
-            E = [x + ai * e for x, e in zip(E, next(iter(f.terms)))]
-        target = ctx.weight(E)
-        graded = {
-            t
-            for t, (beta, alpha, _) in enumerate(ucols)
-            if tuple(x - y for x, y in zip(ctx.weight(beta), ctx.weight(alpha))) == target
-        }
-        assert {t for t in block if t < U} <= graded
+        assert {t for t in block if t < U} <= graded_columns(ctx, a, ucols)
         for w in ctx.weights:
             for f in ctx.F:
                 assert len({sum(map(mul, w, e)) for e in f.terms}) == 1
+
+
+# (rows, columns, nonzeros, nullity) summed over the systems one run of a
+# benchmark workload at seed 1 eliminates.  multi-param read (651, 669,
+# 844, 18) when every b column was assembled; no bp-ladder b column is
+# left out.
+@pytest.mark.parametrize(
+    "workload, sizes",
+    [("multi-param", (193, 211, 386, 18)), ("bp-ladder", (304, 301, 2826, 95))],
+)
+def test_benchmark_system_sizes(monkeypatch, tmp_path, capsys, workload, sizes):
+    module = bench_workloads()
+    if module is None:
+        pytest.skip("bench/workloads.py is not part of this checkout")
+    wl = module.generate(workload, 1, str(tmp_path / workload))
+    seen = [0, 0, 0, 0]
+    nullspace = linalg.nullspace
+
+    def spy(rows, ncols):
+        basis = nullspace(rows, ncols)
+        for k, v in enumerate((len(rows), ncols, sum(map(len, rows)), len(basis))):
+            seen[k] += v
+        return basis
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    assert main(["run", "--json", *wl.paths]) == wl.expected_exit
+    capsys.readouterr()
+    assert tuple(seen) == sizes
+
+
+def test_twists_share_the_weight_grading(monkeypatch):
+    # the grading of a box is built once per context: a second twist in
+    # the same box takes one w-degree, that of its own f^a
+    calls = []
+    weight = GermContext.weight
+
+    def spy(ctx, exps):
+        calls.append(tuple(exps))
+        return weight(ctx, exps)
+
+    monkeypatch.setattr(GermContext, "weight", spy)
+    ctx = make_ctx(["x", "y"], ["x", "x*y"])
+    twin = make_ctx(["x", "y"], ["x", "x*y"])
+    box = SolveBounds(3, 1, 0, 3)
+    assert find_bs_pair(ctx, (1, 0), box) is not None
+    # 3 alphas of degree <= 1, 10 betas of order <= 3, and f^a
+    assert len(calls) == 3 + 10 + 1
+    assert find_bs_pair(ctx, (0, 1), box) is not None
+    assert calls[14:] == [(1, 1)]
+    # another box builds its own: 1 alpha, 10 betas, and f^a
+    assert find_bs_pair(ctx, (1, 1), SolveBounds(3, 0, 0, 3)) is not None
+    assert len(calls) == 15 + 1 + 10 + 1
+    # the cache stays out of equality and hashing
+    assert ctx == twin and hash(ctx) == hash(twin)
 
 
 def test_find_bs_pair_eliminates_once(monkeypatch):
