@@ -30,10 +30,11 @@ form's lead does not divide.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .polynomials import (
     MPoly,
@@ -129,33 +130,17 @@ def primitive_slopes(r: int, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _offsets(r: int, limit: int) -> Iterator[tuple[int, ...]]:
-    for exps in iter_monomials(r, r * limit):
-        if all(e <= limit for e in exps):
-            yield exps
-
-
 def _restrict_to_line(
     terms: dict[tuple[int, ...], int], offset: Sequence[int], direction: Sequence[int]
 ) -> list[int]:
     """Coefficients (ascending) of t -> p(offset + t*direction)."""
-    # the nonzero (j, coefficient of t^j) of (offset_i + t*direction_i)^k
-    powers: dict[tuple[int, int], list[tuple[int, int]]] = {}
     out = [0] * (max(map(sum, terms)) + 1)
     for e, c in terms.items():
-        acc = {0: c}
-        for i, k in enumerate(e):
-            if k:
-                if (i, k) not in powers:
-                    o, d = offset[i], direction[i]
-                    binom = (math.comb(k, j) * o ** (k - j) * d**j for j in range(k + 1))
-                    powers[i, k] = [(j, x) for j, x in enumerate(binom) if x]
-                prod: dict[int, int] = {}
-                for j, x in acc.items():
-                    for jj, y in powers[i, k]:
-                        prod[j + jj] = prod.get(j + jj, 0) + x * y
-                acc = prod
-        for j, x in acc.items():
+        acc = [c]
+        for o, d, k in zip(offset, direction, e):
+            for _ in range(k):  # acc *= o + d*t
+                acc = [o * x + d * y for x, y in zip(acc + [0], [0] + acc)]
+        for j, x in enumerate(acc):
             out[j] += x
     return out
 
@@ -257,7 +242,7 @@ def extract_hyperplanes(
         if not degree:
             break
         # deterministic offset giving a nonzero line restriction
-        for offset in _offsets(r, degree + 1):
+        for offset in itertools.product(range(degree + 2), repeat=r):
             coeffs = _restrict_to_line(rem, offset, L)
             if any(coeffs):
                 break

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from bsideal import hyperplanes
 from bsideal.hyperplanes import (
     Hyperplane,
+    _restrict_to_line,
     check_translation_union,
     extract_hyperplanes,
     linear_form,
@@ -226,6 +228,45 @@ def test_extract_matches_sympy_factor_list():
             if all(v >= 0 for v in h.normal):
                 want[h] = want.get(h, 0) + m
         assert dict(factors) == want
+
+
+def test_restrict_to_line_matches_sympy_substitution():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(416)
+    for _ in range(30):
+        r = rng.randint(1, 3)
+        syms = sympy.symbols(s_names(r))
+        terms = {
+            tuple(rng.randint(0, 4) for _ in range(r)): rng.choice([-1, 1]) * rng.randint(1, 9)
+            for _ in range(rng.randint(1, 6))
+        }
+        offset = [rng.choice([-1, 1]) * rng.randint(1, 4) for _ in range(r)]
+        direction = [rng.choice([-1, 1]) * rng.randint(1, 4) for _ in range(r)]
+        p = sum(c * sympy.prod(x**k for x, k in zip(syms, e)) for e, c in terms.items())
+        line = sympy.expand(p.subs({x: o + d * t for x, o, d in zip(syms, offset, direction)}))
+        want = [int(line.coeff(t, j)) for j in range(max(map(sum, terms)) + 1)]
+        assert _restrict_to_line(terms, offset, direction) == want
+
+
+def test_extract_scans_past_offsets_on_zero_lines(monkeypatch):
+    # s1 - s2 is constant on every line of slope (1, 1), and the factors
+    # s1 - s2 and s1 - s2 + 1 vanish on those through (0, 0) and (0, 1):
+    # the scan must go on to a third offset to find s1 + s2 + 1
+    lines = []
+
+    def restrict(terms, offset, direction):
+        coeffs = _restrict_to_line(terms, offset, direction)
+        if len(offset) == 2:  # not those of the top-form recursion, in s2 alone
+            lines.append((tuple(offset), tuple(direction), any(coeffs)))
+        return coeffs
+
+    monkeypatch.setattr(hyperplanes, "_restrict_to_line", restrict)
+    factors, rem = extract_hyperplanes(sp("(s1 - s2)*(s1 - s2 + 1)*(s1 + s2 + 1)", 2))
+    assert factors == [(Hyperplane((1, 1), Fraction(1)), 1)]
+    assert rem == sp("s1^2 - 2*s1*s2 + s2^2 + s1 - s2", 2)
+    assert [line[0] for line in lines[:2]] == [(0, 0), (0, 1)]
+    assert [line[1:] for line in lines] == [((1, 1), False)] * 2 + [((1, 1), True)]
 
 
 def test_primitive_slopes_small():

@@ -7,7 +7,6 @@ from fractions import Fraction
 from typing import Iterable
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bsideal.linalg import IntRow, clear_row, nullspace, rref, rref_rational, solve
 
@@ -338,36 +337,7 @@ def reference_nullspace(rows, ncols):
     ]
 
 
-ENTRIES = st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
-
-
-@st.composite
-def sparse_systems(draw):
-    """Sparse rows over int and Fraction, with zero and duplicate rows mixed in."""
-    ncols = draw(st.integers(1, 12))
-    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), ENTRIES, max_size=4), max_size=14))
-    for _ in range(draw(st.integers(0, 3))):
-        new = dict(draw(st.sampled_from(rows))) if rows and draw(st.booleans()) else {}
-        rows.insert(draw(st.integers(0, len(rows))), new)
-    return ncols, rows
-
-
-@st.composite
-def long_row_systems(draw):
-    """One to three dense rows and a chain of two-entry rows, one starting at
-    every column but the last: the short rows are the pivots, so each dense
-    row is updated at nearly every column."""
-    ncols = draw(st.integers(4, 24))
-    nonzero = st.integers(1, 9).flatmap(lambda v: st.sampled_from((v, -v)))
-    rows = [{j: draw(nonzero) for j in range(ncols)} for _ in range(draw(st.integers(1, 3)))]
-    for j in range(ncols - 1):
-        rows.append({j: draw(nonzero), draw(st.integers(j + 1, ncols - 1)): draw(nonzero)})
-    return ncols, draw(st.permutations(rows))
-
-
-@settings(max_examples=300, deadline=None)
-@given(sparse_systems())
-def test_rref_matches_reference_on_sparse_systems(system):
+def check_against_reference(system):
     ncols, rows = system
     before = copy.deepcopy(rows)
     assert rref(rows) == reference_rref(rows)
@@ -376,12 +346,39 @@ def test_rref_matches_reference_on_sparse_systems(system):
     assert rows == before
 
 
-@settings(max_examples=100, deadline=None)
-@given(long_row_systems())
-def test_rref_matches_reference_on_long_rows(system):
-    ncols, rows = system
-    before = copy.deepcopy(rows)
-    assert rref(rows) == reference_rref(rows)
-    assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
-    # rref updates its own copies of the rows in place, never the caller's
-    assert rows == before
+def test_rref_matches_reference_on_sparse_systems():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    entries = st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+    @st.composite
+    def sparse_systems(draw):
+        """Sparse rows over int and Fraction, with zero and duplicate rows mixed in."""
+        ncols = draw(st.integers(1, 12))
+        rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entries, max_size=4), max_size=14))
+        for _ in range(draw(st.integers(0, 3))):
+            new = dict(draw(st.sampled_from(rows))) if rows and draw(st.booleans()) else {}
+            rows.insert(draw(st.integers(0, len(rows))), new)
+        return ncols, rows
+
+    settings(max_examples=300, deadline=None)(given(sparse_systems())(check_against_reference))()
+
+
+def test_rref_matches_reference_on_long_rows():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def long_row_systems(draw):
+        """One to three dense rows and a chain of two-entry rows, one starting at
+        every column but the last: the short rows are the pivots, so each dense
+        row is updated at nearly every column."""
+        ncols = draw(st.integers(4, 24))
+        nonzero = st.integers(1, 9).flatmap(lambda v: st.sampled_from((v, -v)))
+        rows = [{j: draw(nonzero) for j in range(ncols)} for _ in range(draw(st.integers(1, 3)))]
+        for j in range(ncols - 1):
+            rows.append({j: draw(nonzero), draw(st.integers(j + 1, ncols - 1)): draw(nonzero)})
+        return ncols, draw(st.permutations(rows))
+
+    settings(max_examples=100, deadline=None)(given(long_row_systems())(check_against_reference))()
