@@ -44,6 +44,7 @@ from .polynomials import (
     parse_poly,
     power_size,
     s_names,
+    scalar_text,
 )
 from .snc import (
     ResolutionGraph,
@@ -296,7 +297,7 @@ def _hyperplanes_json(
         flags = h.structure_flags(a)
         rows.append({
             "normal": list(h.normal),
-            "intercept": str(h.intercept),
+            "intercept": scalar_text(h.intercept),
             "text": h.text(),
             "multiplicity": mult,
             **dict(zip(STRUCTURE_FLAGS, flags)),

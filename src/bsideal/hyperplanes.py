@@ -238,7 +238,7 @@ def extract_hyperplanes(
         if h not in found and min(h.normal) >= 0:
             rem, degree = _divide_out(rem, h, degree, found)
     # the search's slopes are those of the remainder's top form
-    for L in _top_slopes(MPoly._raw(r, rem).top_form()):
+    for L in _top_slopes(MPoly(r, rem).top_form()):
         if not degree:
             break
         # deterministic offset giving a nonzero line restriction

@@ -169,9 +169,9 @@ def snc_b_element(graph: ResolutionGraph, a: Sequence[int]) -> MPoly:
     out = MPoly.const(graph.r, 1)
     for k in support_components(graph, a):
         weights = graph.components[k].weights
-        la = sum(w * x for w, x in zip(weights, a))
-        for j in range(1, la + 1):
-            out = out * linear_form(weights, j)
+        form = linear_form(weights)
+        for j in range(1, sum(map(mul, weights, a)) + 1):
+            out = out * (form + j)
     return out
 
 

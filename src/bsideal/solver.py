@@ -56,7 +56,7 @@ from operator import add, attrgetter, sub
 from typing import Callable, Sequence
 
 from . import linalg
-from .polynomials import MPoly, Record, Scalar, format_poly, grlex_key, iter_monomials
+from .polynomials import MPoly, Record, Scalar, _pack, _width, format_poly, iter_monomials
 from .weyl import (
     GermContext,
     GermElement,
@@ -123,8 +123,8 @@ def _times(p: MPoly, d: int) -> MPoly:
     """d * p with int coefficients; d is a multiple of every denominator of p.
     The exponents are p's own and each coefficient is a nonzero int, so the
     result is built raw."""
-    terms = {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}
-    return MPoly._raw(p.nvars, terms)
+    terms = {k: c.numerator * (d // c.denominator) for k, c in p._packed.items()}
+    return MPoly._raw(p.nvars, terms, p._w, p._deg)
 
 
 def verify(
@@ -140,7 +140,7 @@ def verify(
     """
     ctx = cert.ctx
     b, P = cert.b, cert.P
-    d = math.lcm(*(c.denominator for p in (b, *P.values()) for c in p.terms.values()))
+    d = math.lcm(*(c.denominator for p in (b, *P.values()) for c in p._packed.values()))
     if d != 1:
         b = _times(b, d)
         P = {beta: _times(q, d) for beta, q in P.items()}
@@ -206,35 +206,41 @@ def find_bs_pair(
 
     # Column (beta, alpha, sigma) is germ_for(beta) over the frame
     # f^(s - D), num * f^(D + exps), times x^alpha s^sigma: one product per
-    # beta, then exponent shifts.
-    rows: dict[Exps, dict[int, Scalar]] = {}
-    col = 0
-    for beta, kept in graded:
+    # beta, then exponent shifts.  Rows are keyed by packed monomials of
+    # one field width, which holds the largest degree of any row.
+    bases = []
+    for beta, _ in graded:
         g = germ_for(beta)
-        base = g.num * ctx.f_power(tuple(map(add, D, g.exps)))
-        terms = base.terms.items()
-        for alpha in kept:
-            for sigma in sigmas:
-                shift = alpha + sigma
-                for mono, c in terms:
-                    m = tuple(map(add, mono, shift))
-                    row = rows.get(m)
-                    if row is None:
-                        rows[m] = {col: c}
-                    else:
-                        row[col] = c
-                col += 1
+        bases.append(g.num * ctx.f_power(tuple(map(add, D, g.exps))))
+    neg_fD = -ctx.f_power(D)
+    w = _width(max([
+        neg_fD._deg + bounds.max_b_degree,
+        *(p._deg + bounds.max_x_degree + bounds.max_s_degree for p in bases),
+    ]))
+    rows: dict[int, dict[int, Scalar]] = {}
+    col = 0
+    for (_, kept), base in zip(graded, bases):
+        terms = base._at(w).items()
+        for shift in _pack([alpha + sigma for alpha in kept for sigma in sigmas], w):
+            for mono, c in terms:
+                m = mono + shift
+                row = rows.get(m)
+                if row is None:
+                    rows[m] = {col: c}
+                else:
+                    row[col] = c
+            col += 1
 
     # b column tau is -f^D s^tau, kept only when each of its rows already
     # holds an operator column (see the module docstring); the kept ones
     # take columns U, U + 1, ... in ascending graded lex.
-    rhs = list((-ctx.f_power(D)).terms.items())
+    rhs = list(neg_fD._at(w).items())
     taus: list[Exps] = []
-    for tau in iter_monomials(r, bounds.max_b_degree):
-        shift = (0,) * n + tau
+    all_taus = list(iter_monomials(r, bounds.max_b_degree))
+    for tau, shift in zip(all_taus, _pack([(0,) * n + tau for tau in all_taus], w)):
         reached = []
         for mono, c in rhs:
-            row = rows.get(tuple(map(add, mono, shift)))
+            row = rows.get(mono + shift)
             if row is None:
                 break
             reached.append((row, c))
@@ -250,7 +256,8 @@ def find_bs_pair(
             f"linear system of {len(rows)}x{ncols} exceeds cap {CELL_CAP}"
         )
 
-    ordered_rows = [rows[m] for m in sorted(rows, key=grlex_key, reverse=True)]
+    # packed keys sort in graded lex order
+    ordered_rows = [rows[m] for m in sorted(rows, reverse=True)]
     basis = linalg.nullspace(ordered_rows, ncols)
 
     # Operator columns come first and b columns ascend in graded lex.  A

@@ -16,14 +16,18 @@ so each derivative lowers e_i by exactly one for every f_i it touches, and
 f_i is never divided back out of num: a germ is not kept in lowest terms,
 and `GermElement.__eq__` compares two germs over their common frame.
 
-The product rule for d/dx_j is fused into one product per derivative:
+The product rule for d/dx_j is fused into one accumulation pass per
+derivative:
 
     num' = d_j(num) * Pi_j + num * S_j,   S_j = sum_i G_ij * (s_i + e_i),
 
 where i runs over the f_i that depend on x_j, Pi_j is their product and
 G_ij = d_j f_i * prod_{i' != i} f_i' over the same i'.  Pi_j, the G_ij and
 sum_i G_ij * s_i are built from products only, once per context and x_j on
-first use, and kept on the context (`GermContext.product_rule`).
+first use, and kept on the context (`GermContext.product_rule`).  Each
+derivative sums S_j's terms, then adds every term of d_j(num) * Pi_j and
+num * S_j into one dict of packed keys (see `polynomials`), with no
+polynomial built in between.
 
 `apply` expands P . v in one frame: it writes every d^beta v over the
 frame of the smallest exponents once and sums their numerators times
@@ -38,8 +42,8 @@ from typing import Callable, Sequence
 
 from .linalg import nullspace
 from .polynomials import (
-    MPoly, Record, Scalar, _setattr, format_poly, grlex_key, iter_monomials, primitive,
-    s_names,
+    MPoly, Record, Scalar, _setattr, _width, format_terms, grlex_key, iter_monomials,
+    primitive, s_names,
 )
 
 Exps = tuple[int, ...]
@@ -56,12 +60,14 @@ def format_operator(op: Operator, x_names: Sequence[str], s_names: Sequence[str]
     printed by descending (beta, alpha) with d_j as dx etc."""
     n, ns = len(x_names), len(s_names)
     chunks: list[str] = []
+    one = [((0,) * ns, 1)]
     for beta in sorted(op, key=grlex_key, reverse=True):
-        split: dict[Exps, dict[Exps, Scalar]] = {}
-        for e, k in op[beta].terms.items():
-            split.setdefault(e[:n], {})[e[n:]] = k
+        split: dict[Exps, list[tuple[Exps, Scalar]]] = {}
+        for e, k in op[beta].sorted_terms():
+            split.setdefault(e[:n], []).append((e[n:], k))
         for alpha in sorted(split, key=grlex_key, reverse=True):
-            c = MPoly(ns, split[alpha])
+            # c(s), in descending graded lex: its terms keep their order
+            c = split[alpha]
             factors = []
             for i, k in enumerate(alpha):
                 if k:
@@ -70,13 +76,13 @@ def format_operator(op: Operator, x_names: Sequence[str], s_names: Sequence[str]
                 if k:
                     nm = f"d{x_names[i]}"
                     factors.append(nm if k == 1 else f"{nm}^{k}")
-            ctext = format_poly(c, s_names)
+            ctext = format_terms(c, s_names)
             if not factors:
-                body = f"({ctext})" if len(c.terms) > 1 else ctext
-            elif c == MPoly.const(ns, 1):
+                body = f"({ctext})" if len(c) > 1 else ctext
+            elif c == one:
                 body = "*".join(factors)
             else:
-                lead = f"({ctext})" if (len(c.terms) > 1 or ctext.startswith("-")) else ctext
+                lead = f"({ctext})" if (len(c) > 1 or ctext.startswith("-")) else ctext
                 body = "*".join([lead] + factors)
             chunks.append(body if not chunks else f"+ {body}")
     return " ".join(chunks) or "0"
@@ -121,6 +127,8 @@ class GermContext(Record):
             raise ValueError("f_i must be nonzero")
         diffs = []
         for f in F:
+            if len(f._packed) == 1:  # a monomial adds no difference
+                continue
             first, *rest = f.terms
             diffs.extend(
                 {j: x - y for j, (x, y) in enumerate(zip(e, first)) if x != y}
@@ -252,17 +260,36 @@ def partial_derivative(v: GermElement, j: int) -> GermElement:
     loses exactly one power, and the numerator becomes
     d_j(num) * Pi_j + num * sum_i G_ij * (s_i + e_i), with Pi_j and the
     G_ij taken from the context's cache (`GermContext.product_rule`);
-    nothing is cancelled."""
+    nothing is cancelled.  Both products accumulate into one dict of
+    packed keys, at a width that holds deg(num) + deg(Pi_j)."""
     ctx = v.ctx
-    active, pi, G, S = ctx.product_rule(j)
-    num = v.num.derivative(j) * pi
-    if active:
-        for i, g in zip(active, G):
-            if v.exps[i]:
-                S = S + g * v.exps[i]
-        num = num + v.num * S
+    active, pi, G, gs = ctx.product_rule(j)
+    num, n = v.num, ctx.nvars
+    # deg(G_ij * s_i) <= deg(Pi_j), so every term is of degree at most deg
+    deg = num._deg + pi._deg
+    w = _width(deg)
+    S = dict(gs._at(w))
+    for i, g in zip(active, G):
+        if e := v.exps[i]:
+            for k, c in g._at(w).items():
+                S[k] = S.get(k, 0) + c * e
+    S = [(k, c) for k, c in S.items() if c]
+    pi = list(pi._at(w).items())
+    shift = w * (n - 1 - j)
+    unit, mask = 1 << (n * w) | 1 << shift, (1 << w) - 1
+    acc: dict[int, Scalar] = {}
+    get = acc.get
+    for k, c in num._at(w).items():
+        if e := k >> shift & mask:  # d_j(c x^k) = c e x^(k - unit)
+            k0, c0 = k - unit, c * e
+            for kp, cp in pi:
+                key = k0 + kp
+                acc[key] = get(key, 0) + c0 * cp
+        for ks, cs in S:
+            key = k + ks
+            acc[key] = get(key, 0) + c * cs
     exps = tuple(e - (i in active) for i, e in enumerate(v.exps))
-    return GermElement(ctx, num, exps)
+    return GermElement(ctx, MPoly._raw(n, {k: c for k, c in acc.items() if c}, w, deg), exps)
 
 
 def derivative_table(

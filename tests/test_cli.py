@@ -386,6 +386,56 @@ def test_oversize_expression_is_refused_at_once(tmp_path, variables, F):
     assert "coefficient bits" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# x^(2^40) needs wider exponent fields than the default 32 bits; these
+# reports were printed by the tuple-keyed polynomials that packed keys
+# replaced, and must not change
+WIDE = 2**40
+WIDE_ENTRIES = {
+    "wide_sum": (EXIT_BOUNDS, {
+        "variables": ["x", "y"],
+        "F": [f"x^{WIDE}*y + y^2"],
+        "a": [1],
+        "bounds": {"order": 2, "x_degree": 1, "s_degree": 1, "b_degree": 2},
+        "tasks": ["bs-find", "decompose"],
+    }),
+    "wide_pair": (EXIT_OK, {
+        "variables": ["x", "y"],
+        "F": [f"x^{WIDE}", "y"],
+        "a": [0, 1],
+        "bounds": {"order": 1, "x_degree": 0, "s_degree": 0, "b_degree": 1},
+        "resolution_graph": {
+            "r": 2,
+            "components": [{"L": [WIDE, 0], "chi": 0}, {"L": [0, 1], "chi": 0}],
+        },
+        "tasks": "all",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_ENTRIES))
+def test_wide_exponent_reports_are_pinned(tmp_path, capsys, name):
+    code, entry = WIDE_ENTRIES[name]
+    path = write_entry(tmp_path, name, **entry)
+    report = os.path.join(os.path.dirname(__file__), "wide_exponents", f"{name}.report.json")
+    with open(report, encoding="utf-8") as fh:
+        expected = fh.read()
+    assert run(["run", "--json", path], capsys) == (code, expected, "")
+
+
+def test_long_coefficients_print_in_full(tmp_path):
+    # 9^800 has 764 digits, more than str() converts under a limit of 640
+    path = write_entry(tmp_path, F=["x + 9^800"])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "640"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bsideal.cli", "run", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    assert f"F = (x + {9**800})" in proc.stdout
+
+
 def test_plane_curve_graph_extracts_in_time(tmp_path):
     # the resolution graph of x^4+y^5: 55 linear factors, 30 distinct roots
     # s = -j/L; in a child process, so that a slow root finder is stopped

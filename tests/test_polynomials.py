@@ -15,6 +15,7 @@ from bsideal.polynomials import (
     parse_poly,
     primitive,
     s_names,
+    scalar_text,
 )
 
 
@@ -124,6 +125,19 @@ def test_parse_limit_spares_single_terms():
     # one term stays one term, however high the power
     assert P("x^" + "9" * 100).terms == {(int("9" * 100), 0): 1}
     assert P("(-x*y)^100001").terms == {(100001, 100001): -1}
+
+
+def test_scalar_text_prints_past_the_digit_limit():
+    # 5001 digits, more than str() converts under the default limit of 4300;
+    # n is odd, so n / 2^20 and 2^20 / n are in lowest terms
+    n = int("2" * 4000) * 10**1001 + int("3" * 1001)
+    digits = "2" * 4000 + "3" * 1001
+    assert scalar_text(n) == digits
+    assert scalar_text(-n) == "-" + digits
+    assert scalar_text(Fraction(-n, 2**20)) == f"-{digits}/{2**20}"
+    assert scalar_text(Fraction(2**20, n)) == f"{2**20}/{digits}"
+    assert scalar_text(10**5000) == "1" + "0" * 5000
+    assert scalar_text(Fraction(-3, 4)) == "-3/4"
 
 
 def test_parse_rational_coefficients():

@@ -38,6 +38,7 @@ UNREACHED = {
     "polynomials.Record.__repr__": "debug",
     "polynomials.MPoly.__sub__": "input-driven",
     "polynomials.MPoly.constant_value": "input-driven",
+    "polynomials._repack": "input-driven",
     "polynomials._Parser.error": "input-driven",
 }
 REASONS = {"bench-pinned", "guard", "debug", "input-driven"}
