@@ -237,10 +237,6 @@ class MPoly:
             raise IndexError("variable index out of range")
         return cls._raw(nvars, {1 << (nvars * _W) | 1 << (_W * (nvars - 1 - i)): 1}, _W, 1)
 
-    @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], c: Scalar = 1) -> "MPoly":
-        return cls(nvars, {tuple(exps): c})
-
     # -- predicates and accessors ------------------------------------
 
     def is_zero(self) -> bool:
@@ -426,7 +422,10 @@ def format_poly(p: MPoly, names: Sequence[str]) -> str:
 
 def format_terms(terms: Sequence[tuple[Exponents, Scalar]], names: Sequence[str]) -> str:
     """The text of format_poly for nonzero terms in descending graded lex
-    order, each an exponent tuple and its coefficient."""
+    order, each an exponent tuple and its coefficient.  It is the one
+    printer of monomials: operators, torus cosets and zeta factors print
+    theirs through it, and it prints every nonzero exponent, negative ones
+    (a torus character's) too."""
     if not terms:
         return "0"
     chunks: list[str] = []
@@ -434,7 +433,7 @@ def format_terms(terms: Sequence[tuple[Exponents, Scalar]], names: Sequence[str]
         factors = [
             (names[i] if k == 1 else f"{names[i]}^{scalar_text(k)}")
             for i, k in enumerate(e)
-            if k > 0
+            if k
         ]
         mag = abs(c)
         if not factors:

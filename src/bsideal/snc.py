@@ -28,7 +28,7 @@ from operator import attrgetter, mul
 from typing import Sequence
 
 from .hyperplanes import Hyperplane, linear_form
-from .polynomials import MPoly, Record, _setattr, format_poly, grlex_key, primitive
+from .polynomials import MPoly, Record, _setattr, format_terms, grlex_key, primitive
 from .solver import BSCertificate
 from .torus import TorusCoset, cosets_of_character
 from .weyl import GermContext
@@ -279,11 +279,9 @@ class MonZeta(Record):
         if not self.factors:
             return "1"
         names = ["t"] if self.r == 1 else [f"t{i + 1}" for i in range(self.r)]
-        parts = []
-        for v, e in self.factors:
-            mono = format_poly(MPoly.monomial(self.r, v), names)
-            parts.append(f"(1 - {mono})^{e}")
-        return " * ".join(parts)
+        return " * ".join(
+            f"(1 - {format_terms([(v, 1)], names)})^{e}" for v, e in self.factors
+        )
 
     def to_json_dict(self) -> dict:
         return {"factors": [{"v": list(v), "exp": e} for v, e in self.factors]}
@@ -319,7 +317,7 @@ def support_loci(graph: ResolutionGraph, a: Sequence[int]) -> tuple[TorusCoset, 
     that carry some f_i with a_i != 0, as sorted canonical cosets."""
     out: set[TorusCoset] = set()
     for k in support_components(graph, a):
-        out.update(cosets_of_character(graph.components[k].weights, 0))
+        out.update(cosets_of_character(graph.components[k].weights))
     return tuple(sorted(out))
 
 

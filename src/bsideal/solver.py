@@ -69,8 +69,9 @@ from .weyl import (
 
 Exps = tuple[int, ...]
 
-# The most rows x columns find_bs_pair eliminates; larger systems raise
-# SolveCapExceeded, which the CLI reports as bounds exhausted.
+# The most rows x columns find_bs_pair eliminates, and the most monomials
+# a box may list; more of either raises SolveCapExceeded, which the CLI
+# reports as bounds exhausted.
 CELL_CAP = 4_000_000
 
 
@@ -83,7 +84,7 @@ class InvertibleTwistError(SolverError):
 
 
 class SolveCapExceeded(SolverError):
-    """The bounded linear system would exceed CELL_CAP."""
+    """The box or its bounded linear system would exceed CELL_CAP."""
 
 
 class SolveBounds(Record):
@@ -175,6 +176,12 @@ def find_bs_pair(
     """
     a = _validate_twist(ctx, a)
     n, r = ctx.n, ctx.r
+    # the monomial lists of the box: d^beta and x^alpha in n variables,
+    # s^sigma and the b-monomials s^tau in r
+    box = math.comb(n + bounds.max_operator_order, n) + math.comb(n + bounds.max_x_degree, n)
+    box += math.comb(r + bounds.max_s_degree, r) + math.comb(r + bounds.max_b_degree, r)
+    if box > CELL_CAP:
+        raise SolveCapExceeded(f"box of {box} monomials exceeds cap {CELL_CAP}")
 
     germ_for = derivative_table(GermElement.power(ctx, a), partial_derivative)
 

@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .hyperplanes import Hyperplane
-from .polynomials import Record, _coerce, _setattr, primitive
+from .polynomials import Record, _coerce, _setattr, format_terms, primitive
 
 
 class TorusCoset(Record):
@@ -46,29 +46,22 @@ class TorusCoset(Record):
         return {"binding": [{"v": list(self.v), "theta": t}]}
 
     def text(self) -> str:
-        lhs = "*".join(
-            f"L{i + 1}" + (f"^{c}" if c != 1 else "")
-            for i, c in enumerate(self.v)
-            if c
-        )
+        lhs = format_terms([(self.v, 1)], [f"L{i + 1}" for i in range(len(self.v))])
         t = self.theta
         return "{" + (f"{lhs} = e(2*pi*i*{t})" if t else f"{lhs} = 1") + "}"
 
 
-def cosets_of_character(
-    v: Sequence[int], theta: Fraction | int = 0
-) -> tuple[TorusCoset, ...]:
-    """Decompose {lambda : lambda^v == e^(2*pi*i*theta)} into honest cosets.
+def cosets_of_character(v: Sequence[int]) -> tuple[TorusCoset, ...]:
+    """Decompose {lambda : lambda^v == 1} into honest cosets.
 
     For v = g * v' with v' primitive the solution set is the disjoint union
-    of the g cosets lambda^v' = e^(2*pi*i*(theta + c)/g), c = 0..g-1.
+    of the g cosets lambda^v' = e^(2*pi*i*c/g), c = 0..g-1.
     """
     content, prim = primitive(v)
     if not any(prim):
         raise ValueError("character must be nonzero")
     g = content.numerator  # v is integral
-    theta = Fraction(theta)
-    return tuple(TorusCoset(prim, (theta + c) / g) for c in range(g))
+    return tuple(TorusCoset(prim, Fraction(c, g)) for c in range(g))
 
 
 def exp_image(h: Hyperplane) -> TorusCoset:
@@ -105,7 +98,4 @@ def check_axis_union(
     for i in per_axis:
         if not 0 <= i < len(a) or a[i] == 0:
             raise ValueError(f"axis {i} does not carry a nonzero twist entry")
-    pooled: list[TorusCoset] = []
-    for i in sorted(per_axis):
-        pooled.extend(per_axis[i])
-    return union_equal(combined, pooled)
+    return union_equal(combined, (c for cosets in per_axis.values() for c in cosets))

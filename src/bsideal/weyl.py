@@ -59,6 +59,7 @@ def format_operator(op: Operator, x_names: Sequence[str], s_names: Sequence[str]
     """Canonical text form: each Q_beta split into c(s) * x^alpha terms,
     printed by descending (beta, alpha) with d_j as dx etc."""
     n, ns = len(x_names), len(s_names)
+    names = [*x_names, *("d" + x for x in x_names)]
     chunks: list[str] = []
     one = [((0,) * ns, 1)]
     for beta in sorted(op, key=grlex_key, reverse=True):
@@ -68,22 +69,14 @@ def format_operator(op: Operator, x_names: Sequence[str], s_names: Sequence[str]
         for alpha in sorted(split, key=grlex_key, reverse=True):
             # c(s), in descending graded lex: its terms keep their order
             c = split[alpha]
-            factors = []
-            for i, k in enumerate(alpha):
-                if k:
-                    factors.append(x_names[i] if k == 1 else f"{x_names[i]}^{k}")
-            for i, k in enumerate(beta):
-                if k:
-                    nm = f"d{x_names[i]}"
-                    factors.append(nm if k == 1 else f"{nm}^{k}")
             ctext = format_terms(c, s_names)
-            if not factors:
+            if not any(alpha + beta):
                 body = f"({ctext})" if len(c) > 1 else ctext
-            elif c == one:
-                body = "*".join(factors)
             else:
-                lead = f"({ctext})" if (len(c) > 1 or ctext.startswith("-")) else ctext
-                body = "*".join([lead] + factors)
+                body = format_terms([(alpha + beta, 1)], names)
+                if c != one:
+                    lead = f"({ctext})" if (len(c) > 1 or ctext.startswith("-")) else ctext
+                    body = f"{lead}*{body}"
             chunks.append(body if not chunks else f"+ {body}")
     return " ".join(chunks) or "0"
 

@@ -32,7 +32,7 @@ def weyl_operator(nx, ns, terms):
     Q = {}
     for (alpha, beta), c in terms.items() if isinstance(terms, dict) else terms:
         c = c if isinstance(c, MPoly) else MPoly.const(ns, c)
-        q = c.padded(nx, 0) * MPoly.monomial(nx + ns, tuple(alpha) + (0,) * ns)
+        q = c.padded(nx, 0) * MPoly(nx + ns, {tuple(alpha) + (0,) * ns: 1})
         Q[beta] = Q[beta] + q if beta in Q else q
     return {beta: q for beta, q in Q.items() if not q.is_zero()}
 
@@ -45,7 +45,7 @@ def applied(op, v):
 def monomial_ctx(exps):
     """The context of the monomial collection whose exponent rows are exps."""
     n = len(exps[0])
-    return GermContext(["x", "y", "z"][:n], [MPoly.monomial(n, row) for row in exps])
+    return GermContext(["x", "y", "z"][:n], [MPoly(n, {tuple(row): 1}) for row in exps])
 
 
 def random_monomial_problems(count=10, seed=419):

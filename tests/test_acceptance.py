@@ -159,7 +159,7 @@ def test_c04_snc_formula_consistency():
             continue
         graph = graph_from_exponents(mat)
         names = ["x", "y", "z"][:n]
-        ctx = GermContext(names, [MPoly.monomial(n, row) for row in mat])
+        ctx = GermContext(names, [MPoly(n, {tuple(row): 1}) for row in mat])
         cert, own = snc_certificate(ctx, a)
         ok = ok and own == graph
         ok = ok and verify(cert) and cert.b == snc_b_element(graph, a)

@@ -28,7 +28,7 @@ OPERATORS = st.dictionaries(st.tuples(EXPS, EXPS), COEFFS, min_size=1, max_size=
 def test_apply_is_the_sum_over_one_term_operators(op, a):
     v = GermElement.power(CTX, a)
     parts = [
-        applied({beta: MPoly.monomial(CTX.nvars, e, c)}, v)
+        applied({beta: MPoly(CTX.nvars, {e: c})}, v)
         for beta, q in op.items()
         for e, c in q.terms.items()
     ]

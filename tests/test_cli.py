@@ -516,6 +516,26 @@ def test_oversize_twist_is_refused_at_once(tmp_path, F, a, code):
         assert "entry: FAILED" in proc.stdout
 
 
+def test_large_box_is_refused_before_listing_monomials(tmp_path):
+    # order 3000 in two variables lists C(3002, 2) = 4504501 d-monomials,
+    # more than the cell cap, although the graded piece is one column
+    path = write_entry(
+        tmp_path, variables=["x", "y"], F=["x*y"], tasks=["bs-find"],
+        bounds={"order": 3000, "x_degree": 0, "s_degree": 0, "b_degree": 1},
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bsideal.cli", "run", path],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == EXIT_BOUNDS
+    assert "Traceback" not in proc.stderr
+    assert "box of 4504505 monomials exceeds cap" in proc.stdout
+
+
 def test_slope_bound_field_is_unknown(tmp_path, capsys):
     path = write_entry(tmp_path, slope_bound=8)
     code, out, err = run(["run", path], capsys)

@@ -40,7 +40,7 @@ def fields(record):
 
 
 def certificate():
-    ctx = GermContext(["x", "y"], [MPoly.monomial(2, (1, 0)), MPoly.monomial(2, (1, 1))])
+    ctx = GermContext(["x", "y"], [MPoly(2, {(1, 0): 1}), MPoly(2, {(1, 1): 1})])
     cert, _ = snc_certificate(ctx, (1, 1))
     return cert
 
@@ -183,9 +183,9 @@ def test_hyperplane_intercept_is_a_fraction():
 
 
 def test_germ_contexts_compare_by_names_and_F():
-    x, xy = MPoly.monomial(2, (1, 0)), MPoly.monomial(2, (1, 1))
+    x, xy = MPoly(2, {(1, 0): 1}), MPoly(2, {(1, 1): 1})
     ctx = GermContext(["x", "y"], [x, xy])
-    twin = GermContext(("x", "y"), [MPoly.monomial(2, (1, 0)), MPoly.monomial(2, (1, 1))])
+    twin = GermContext(("x", "y"), [MPoly(2, {(1, 0): 1}), MPoly(2, {(1, 1): 1})])
     assert ctx == twin and hash(ctx) == hash(twin)
     ctx.f_power((1, 1))  # fills a cache, which stays out of equality
     assert ctx == twin and hash(ctx) == hash(twin)

@@ -155,6 +155,8 @@ def test_mon_zeta_frozen():
     }
     assert z.text() == "(1 - t)^1 * (1 - t^2)^-2"
     assert mon_zeta(graph([(1, 1)])).text() == "1"
+    z = MonZeta(2, [((1, 2), -1), ((0, 1), 3)])
+    assert z.text() == "(1 - t2)^3 * (1 - t1*t2^2)^-1"
 
 
 def test_mon_zeta_merges_duplicates():

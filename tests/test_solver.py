@@ -239,7 +239,7 @@ def spy_nullspace(monkeypatch):
     return calls
 
 
-def test_sample_ideal_strategies_and_dedup(monkeypatch):
+def test_sample_ideal_solves_one_system_per_twist(monkeypatch):
     # one system per twist and one certificate from it
     calls = spy_nullspace(monkeypatch)
     ctx = make_ctx(["x", "y"], ["x", "x*y"])
@@ -250,7 +250,7 @@ def test_sample_ideal_strategies_and_dedup(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sample_ideal_stops_when_mixed_finds_nothing(monkeypatch):
+def test_sample_ideal_solves_one_system_for_an_exhausted_box(monkeypatch):
     # below deg b_f = 3 nothing certifies, and the one system is all that is built
     calls = spy_nullspace(monkeypatch)
     ctx = make_ctx(["x", "y"], ["x^2 + y^3"])
@@ -343,7 +343,7 @@ def operator(ctx, ucols, u):
     for t, c in u.items():
         if c:
             beta, alpha, sigma = ucols[t]
-            terms.append(((alpha, beta), MPoly.monomial(ctx.r, sigma, c)))
+            terms.append(((alpha, beta), MPoly(ctx.r, {sigma: c})))
     return weyl_operator(ctx.n, ctx.r, terms)
 
 
@@ -727,6 +727,15 @@ def test_cell_cap(monkeypatch):
     ctx = make_ctx(["x"], ["x"])
     with pytest.raises(SolveCapExceeded):
         find_bs_pair(ctx, (1,), SolveBounds(1, 0, 0, 1))
+
+
+def test_cell_cap_counts_rows_times_columns(monkeypatch):
+    # the box lists 10 + 10 + 3 + 3 monomials, within the cap, and the
+    # system it assembles has more cells than that
+    monkeypatch.setattr(solver, "CELL_CAP", 26)
+    ctx = make_ctx(["x", "y"], ["x^2 + y^3"])
+    with pytest.raises(SolveCapExceeded, match="linear system of"):
+        find_bs_pair(ctx, (1,), SolveBounds(3, 3, 2, 2))
 
 
 def test_certificate_json():

@@ -12,6 +12,11 @@ must be declared in UNREACHED with its reason:
 
 A public function or method that nothing reaches fails here until it is
 deleted or declared.
+
+A def counts as reached only when its frame starts under the profiler.  A
+def behind a ``functools`` cache starts no frame on a cache hit, so it may
+read as unreached when an earlier test in the same process already called
+it with the same arguments: the result then depends on test order.
 """
 
 import ast

@@ -45,7 +45,7 @@ def test_contains_angles():
 
 
 def test_cosets_of_character_decomposition():
-    got = cosets_of_character((2,), 0)
+    got = cosets_of_character((2,))
     assert got == (
         TorusCoset((1,), Fraction(0)),
         TorusCoset((1,), Fraction(1, 2)),
@@ -55,15 +55,14 @@ def test_cosets_of_character_decomposition():
 
 
 def test_cosets_of_character_membership_random():
-    # the g primitive cosets partition the solution set of lambda^v = e(theta)
+    # the g primitive cosets partition the solution set of lambda^v = 1
     rng = random.Random(416)
     for _ in range(25):
         r = rng.randint(1, 2)
         v = tuple(rng.randint(-3, 3) for _ in range(r))
         if all(x == 0 for x in v):
             v = (1,) * r
-        theta = Fraction(rng.randint(0, 5), rng.randint(1, 6))
-        cs = cosets_of_character(v, theta)
+        cs = cosets_of_character(v)
         n = 12
         for beta in (
             (Fraction(i, n), Fraction(j, n))
@@ -71,7 +70,7 @@ def test_cosets_of_character_membership_random():
             for j in range(n if r == 2 else 1)
         ):
             beta = beta[:r]
-            on_locus = (sum(Fraction(x) * b for x, b in zip(v, beta)) - theta) % 1 == 0
+            on_locus = sum(Fraction(x) * b for x, b in zip(v, beta)) % 1 == 0
             holders = sum(1 for c in cs if contains_angles(c, beta))
             assert holders == (1 if on_locus else 0)
 
@@ -95,7 +94,7 @@ def test_exp_image_integer_translation_invariant():
 
 
 def test_union_equal():
-    a = cosets_of_character((2,), 0)
+    a = cosets_of_character((2,))
     b = (
         TorusCoset((1,), Fraction(1, 2)),
         TorusCoset((1,), Fraction(0)),
@@ -119,3 +118,6 @@ def test_json_and_text():
     assert c.text() == "{L1 = e(2*pi*i*1/2)}"
     c = TorusCoset((1, 2), Fraction(0))
     assert c.text() == "{L1*L2^2 = 1}"
+    # a character may have negative entries
+    c = TorusCoset((1, -2), Fraction(1, 3))
+    assert c.text() == "{L1*L2^-2 = e(2*pi*i*1/3)}"

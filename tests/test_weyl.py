@@ -82,6 +82,19 @@ def test_format_operator_splits_each_q_beta_by_alpha():
     assert format_operator({}, ["x", "y"], ["s"]) == "0"
 
 
+def test_format_operator_pins_monomial_forms():
+    # x^alpha d^beta after a coefficient of 1, a sum, and a negative term
+    sp = lambda t: parse_poly(t, ["s"])  # noqa: E731
+    op = weyl_operator(2, 1, {
+        ((1, 2), (1, 3)): sp("1"),
+        ((1, 0), (1, 0)): sp("s + 1"),
+        ((0, 0), (0, 1)): sp("-s"),
+    })
+    assert format_operator(op, ["x", "y"], ["s"]) == (
+        "x*y^2*dx*dy^3 + (s + 1)*x*dx + (-s)*dy"
+    )
+
+
 def ctx1():
     return GermContext(["x"], [parse_poly("x", ["x"])])
 
@@ -157,8 +170,8 @@ def plain_apply(op, poly, svals):
                 term = term.derivative(j)
         for e, c in q.terms.items():
             alpha, sigma = e[:nx], e[nx:]
-            mono = MPoly.monomial(n, alpha + (0,) * len(svals))
-            cval = value_at(MPoly.monomial(len(svals), sigma, c), svals)
+            mono = MPoly(n, {alpha + (0,) * len(svals): 1})
+            cval = value_at(MPoly(len(svals), {sigma: c}), svals)
             acc = acc + term * mono * cval
     return acc
 
