@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .polynomials import (
@@ -55,7 +54,6 @@ class Hyperplane(Record):
     """L.s + intercept == 0 with L primitive integer, first nonzero entry positive."""
 
     __slots__ = ("normal", "intercept")
-    _values = property(attrgetter(*__slots__))
     normal: tuple[int, ...]
     intercept: Fraction
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import attrgetter
 from struct import Struct
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -60,17 +61,21 @@ _setattr = object.__setattr__  # bypasses the guards, one lookup cheaper
 class Record:
     """Immutable value with named fields, built positionally.
 
-    A subclass lists its fields (two or more) in ``__slots__`` and sets
-    ``_values`` to a property that reads them as a tuple: every field by
-    default, ``property(attrgetter(*__slots__))``, or a chosen subset, so
-    that fields derived from the others or caches stay out.  It may
-    override ``_check`` to validate the fields after they are set, and to
-    rewrite them into canonical form through ``_setattr``.  Equality,
-    hashing and ``<`` use ``_values`` and hold only between objects of one
-    class, so a record hashes as that tuple does.
+    A subclass lists its fields (two or more) in ``__slots__``, and
+    ``_values`` reads them all as a tuple unless the subclass sets its own
+    ``_values`` property to read a chosen subset, so that fields derived
+    from the others or caches stay out.  It may override ``_check`` to
+    validate the fields after they are set, and to rewrite them into
+    canonical form through ``_setattr``.  Equality, hashing and ``<`` use
+    ``_values`` and hold only between objects of one class, so a record
+    hashes as that tuple does.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_values" not in vars(cls):
+            cls._values = property(attrgetter(*cls.__slots__))
 
     def __init__(self, *values):
         for name, v in zip(self.__slots__, values, strict=True):

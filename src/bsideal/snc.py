@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter, mul
+from operator import mul
 from typing import Sequence
 
 from .hyperplanes import Hyperplane, linear_form
@@ -54,7 +54,6 @@ def _known_keys(obj, keys: set[str], what: str) -> None:
 
 class GraphComponent(Record):
     __slots__ = ("weights", "chi")
-    _values = property(attrgetter(*__slots__))
     weights: tuple[int, ...]
     chi: int
 
@@ -69,7 +68,6 @@ class GraphComponent(Record):
 
 class ResolutionGraph(Record):
     __slots__ = ("r", "components")
-    _values = property(attrgetter(*__slots__))
     r: int
     components: tuple[GraphComponent, ...]
 
@@ -255,7 +253,6 @@ class MonZeta(Record):
     equal v merged, zero exponents dropped, the rest in grlex order of v."""
 
     __slots__ = ("r", "factors")
-    _values = property(attrgetter(*__slots__))
     r: int
     factors: tuple[tuple[tuple[int, ...], int], ...]
 

@@ -46,13 +46,15 @@ are assembled first, and a b column is kept only when every one of its
 rows is already an operator row.  The reduced system of the kept columns
 is the old one without each left-out column and its unit row, so (b, P)
 is the same.  The size cap counts rows x columns of what is left, the
-piece that is eliminated.
+piece that is eliminated, and first bounds it before any column is
+scattered: one operator column's terms are distinct rows, so U operator
+columns make at least max|base| x U cells.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, attrgetter, sub
+from operator import add, sub
 from typing import Callable, Sequence
 
 from . import linalg
@@ -89,7 +91,6 @@ class SolveCapExceeded(SolverError):
 
 class SolveBounds(Record):
     __slots__ = ("max_operator_order", "max_x_degree", "max_s_degree", "max_b_degree")
-    _values = property(attrgetter(*__slots__))
     max_operator_order: int
     max_x_degree: int
     max_s_degree: int
@@ -103,7 +104,6 @@ class SolveBounds(Record):
 
 class BSCertificate(Record):
     __slots__ = ("ctx", "a", "b", "P")
-    _values = property(attrgetter(*__slots__))
     ctx: GermContext
     a: tuple[int, ...]
     b: MPoly
@@ -200,35 +200,33 @@ def find_bs_pair(
         for beta, w in betas
         if (kept := by_weight.get(tuple(map(sub, w, target))))
     ]
-    D = tuple(max([0, *(-germ_for(b).exps[i] for b, _ in graded)]) for i in range(r))
+    germs = [germ_for(beta) for beta, _ in graded]
+    D = tuple(max([0, *(-g.exps[i] for g in germs)]) for i in range(r))
     sigmas = list(iter_monomials(r, bounds.max_s_degree))
-
-    ucols: list[tuple[Exps, Exps, Exps]] = [
-        (beta, alpha, sigma)
-        for beta, kept in graded
-        for alpha in kept
-        for sigma in sigmas
-    ]
-    U = len(ucols)
 
     # Column (beta, alpha, sigma) is germ_for(beta) over the frame
     # f^(s - D), num * f^(D + exps), times x^alpha s^sigma: one product per
     # beta, then exponent shifts.  Rows are keyed by packed monomials of
     # one field width, which holds the largest degree of any row.
-    bases = []
-    for beta, _ in graded:
-        g = germ_for(beta)
-        bases.append(g.num * ctx.f_power(tuple(map(add, D, g.exps))))
+    bases = [g.num * ctx.f_power(tuple(map(add, D, g.exps))) for g in germs]
+    U = len(sigmas) * sum(len(kept) for _, kept in graded)
+    cells = max([0, *(len(p._packed) for p in bases)]) * U
+    if cells > CELL_CAP:
+        raise SolveCapExceeded(f"linear system of at least {cells} cells exceeds cap {CELL_CAP}")
     neg_fD = -ctx.f_power(D)
     w = _width(max([
         neg_fD._deg + bounds.max_b_degree,
         *(p._deg + bounds.max_x_degree + bounds.max_s_degree for p in bases),
     ]))
+    # operator column t is ucols[t] = (beta, alpha + sigma)
     rows: dict[int, dict[int, Scalar]] = {}
-    col = 0
-    for (_, kept), base in zip(graded, bases):
+    ucols: list[tuple[Exps, Exps]] = []
+    for (beta, kept), base in zip(graded, bases):
         terms = base._at(w).items()
-        for shift in _pack([alpha + sigma for alpha in kept for sigma in sigmas], w):
+        exps = [alpha + sigma for alpha in kept for sigma in sigmas]
+        for e, shift in zip(exps, _pack(exps, w)):
+            col = len(ucols)
+            ucols.append((beta, e))
             for mono, c in terms:
                 m = mono + shift
                 row = rows.get(m)
@@ -236,12 +234,12 @@ def find_bs_pair(
                     rows[m] = {col: c}
                 else:
                     row[col] = c
-            col += 1
 
     # b column tau is -f^D s^tau, kept only when each of its rows already
     # holds an operator column (see the module docstring); the kept ones
     # take columns U, U + 1, ... in ascending graded lex.
     rhs = list(neg_fD._at(w).items())
+    col = U
     taus: list[Exps] = []
     all_taus = list(iter_monomials(r, bounds.max_b_degree))
     for tau, shift in zip(all_taus, _pack([(0,) * n + tau for tau in all_taus], w)):
@@ -278,11 +276,12 @@ def find_bs_pair(
         return None
     b = MPoly(r, {taus[j - U]: c for j, c in vec.items() if j >= U})
 
-    # column (beta, alpha, sigma) is the coefficient of x^alpha s^sigma in Q_beta
+    # operator column (beta, alpha + sigma) is the coefficient of
+    # x^alpha s^sigma in Q_beta
     coeffs: dict[Exps, dict[Exps, Scalar]] = {}
-    for t, (beta, alpha, sigma) in enumerate(ucols):
+    for t, (beta, e) in enumerate(ucols):
         if c := vec.get(t):
-            coeffs.setdefault(beta, {})[alpha + sigma] = c
+            coeffs.setdefault(beta, {})[e] = c
     P = {beta: MPoly(n + r, q) for beta, q in coeffs.items()}
 
     cert = BSCertificate(ctx, a, b, P)

@@ -12,7 +12,6 @@ into [0, 1), hence equal data always compares and serializes identically.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .hyperplanes import Hyperplane
@@ -25,7 +24,6 @@ class TorusCoset(Record):
     nonzero integer v and rational theta and stores their canonical form."""
 
     __slots__ = ("v", "theta")
-    _values = property(attrgetter(*__slots__))
     v: tuple[int, ...]
     theta: Fraction
 

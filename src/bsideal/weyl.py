@@ -218,7 +218,6 @@ class GermElement(Record):
     """num * prod f_i^(s_i + exps_i), with num in Q[x, s] and exps in Z^r."""
 
     __slots__ = ("ctx", "num", "exps")
-    _values = property(attrgetter(*__slots__))
     ctx: GermContext
     num: MPoly
     exps: Exps

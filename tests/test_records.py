@@ -177,6 +177,17 @@ def test_checks_keep_their_messages(build, message):
     assert str(err.value) == message
 
 
+def test_a_record_reads_every_slot_by_default():
+    # a subclass that sets no _values compares, orders and hashes by all
+    # of its slots
+    class Pair(Record):
+        __slots__ = ("left", "right")
+
+    assert Pair(1, 2) == Pair(1, 2) and hash(Pair(1, 2)) == hash((1, 2))
+    assert Pair(1, 2) != Pair(1, 3)
+    assert Pair(1, 2) < Pair(1, 3) < Pair(2, 0)
+
+
 def test_hyperplane_intercept_is_a_fraction():
     h = Hyperplane((1,), 2)
     assert type(h.intercept) is Fraction and h == Hyperplane((1,), Fraction(2))

@@ -738,6 +738,17 @@ def test_cell_cap_counts_rows_times_columns(monkeypatch):
         find_bs_pair(ctx, (1,), SolveBounds(3, 3, 2, 2))
 
 
+def test_cell_cap_bounds_the_system_before_assembly():
+    # at (10,10,10,1) the largest base times the operator columns passes
+    # the cap before any column is scattered; at (6,6,6,1) that bound
+    # stays under it and the assembled system does not
+    ctx = make_ctx(["x", "y"], ["x^2 + y^3 + x*y^2"])
+    with pytest.raises(SolveCapExceeded, match="linear system of at least "):
+        find_bs_pair(ctx, (1,), SolveBounds(10, 10, 10, 1))
+    with pytest.raises(SolveCapExceeded, match="linear system of 2785x5490 "):
+        find_bs_pair(ctx, (1,), SolveBounds(6, 6, 6, 1))
+
+
 def test_certificate_json():
     ctx = make_ctx(["x"], ["x"])
     cert = find_bs_pair(ctx, (1,), SolveBounds(1, 0, 0, 1))

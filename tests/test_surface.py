@@ -8,7 +8,9 @@ must be declared in UNREACHED with its reason:
 - ``guard``: it keeps a value type safe to use: it refuses mutation, or
   makes hash and truth agree with ``==``, although the library never asks;
 - ``debug``: it only serves a developer at a prompt;
-- ``input-driven``: the pipeline calls it on inputs the corpus does not hold.
+- ``input-driven``: the pipeline calls it on inputs the corpus does not hold;
+- ``import-time``: it runs while the package is imported, before the
+  profiler starts.
 
 A public function or method that nothing reaches fails here until it is
 deleted or declared.
@@ -45,8 +47,9 @@ UNREACHED = {
     "polynomials.MPoly.constant_value": "input-driven",
     "polynomials._repack": "input-driven",
     "polynomials._Parser.error": "input-driven",
+    "polynomials.Record.__init_subclass__": "import-time",
 }
-REASONS = {"bench-pinned", "guard", "debug", "input-driven"}
+REASONS = {"bench-pinned", "guard", "debug", "input-driven", "import-time"}
 
 
 def load(name):
