@@ -23,7 +23,9 @@ monomial is smallest in graded lex (B holds only one: the difference of
 two would lead with a smaller monomial); it has minimal total degree and
 is deterministic.  The canonical P is the operator part paired with it
 that is 0 at every free operator column of the reduced system.  Both are
-read off a single nullspace basis vector, so each call eliminates once.
+read off a single kernel vector, that of the first free b column, and
+`linalg.nullspace` builds only the vectors of free b columns, so each call
+eliminates once and back-substitutes dim B vectors.
 
 Only the weight-graded piece of the system that holds b is built and
 eliminated.  For w in the weight space W of F (`GermContext.weights`),
@@ -263,7 +265,7 @@ def find_bs_pair(
 
     # packed keys sort in graded lex order
     ordered_rows = [rows[m] for m in sorted(rows, reverse=True)]
-    basis = linalg.nullspace(ordered_rows, ncols)
+    basis = linalg.nullspace(ordered_rows, ncols, U)
 
     # Operator columns come first and b columns ascend in graded lex.  A
     # basis vector is 1 at its free column f and nonzero elsewhere only at
@@ -271,16 +273,18 @@ def find_bs_pair(
     # b-part led by taus[f - U] with coefficient 1, and no b in the kernel
     # leads with a smaller monomial: that b-part is the canonical b, and
     # the vector's operator part, 0 at the other free columns, is P.
-    vec = next((v for v in basis if max(v) >= U), None)
-    if vec is None:
+    if not basis:
         return None
+    vec = basis[0]
     b = MPoly(r, {taus[j - U]: c for j, c in vec.items() if j >= U})
 
     # operator column (beta, alpha + sigma) is the coefficient of
-    # x^alpha s^sigma in Q_beta
+    # x^alpha s^sigma in Q_beta; the vector lists its pivot entries, and
+    # so its operator entries, in ascending column order
     coeffs: dict[Exps, dict[Exps, Scalar]] = {}
-    for t, (beta, e) in enumerate(ucols):
-        if c := vec.get(t):
+    for t, c in vec.items():
+        if t < U:
+            beta, e = ucols[t]
             coeffs.setdefault(beta, {})[e] = c
     P = {beta: MPoly(n + r, q) for beta, q in coeffs.items()}
 

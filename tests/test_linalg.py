@@ -155,6 +155,31 @@ def test_nullspace_large_sparse_matches_dense_oracle():
         assert nullspace(rows, ncols) == dense_nullspace(rows, ncols)
 
 
+def test_nullspace_from_start_matches_dense_oracle():
+    # the vectors of the free columns from start on, with the oracle's
+    # values and key order: the free column, then ascending pivots
+    rng = random.Random(412)
+    for trial in range(24):
+        if trial % 2:
+            ncols = rng.randint(30, 60)
+            rows = sparse_rows(rng, ncols)
+        else:
+            ncols = rng.randint(1, 8)
+            rows = [
+                {j: Fraction(v, rng.randint(1, 4)) for j, v in r.items()}
+                for r in rand_rows(rng, rng.randint(1, 8), ncols)
+            ]
+            rows += [{}, dict(rng.choice(rows))]
+        # a column that no row holds, and up to three columns past the last
+        gap = rng.randrange(ncols)
+        rows = [{j: v for j, v in r.items() if j != gap} for r in rows]
+        ncols += rng.randint(0, 3)
+        basis = dense_nullspace(rows, ncols)
+        for start in range(ncols + 1):
+            want = [list(vec.items()) for vec in basis if next(iter(vec)) >= start]
+            assert [list(vec.items()) for vec in nullspace(rows, ncols, start)] == want
+
+
 def test_nullspace_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(411)

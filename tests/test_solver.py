@@ -203,6 +203,99 @@ PINNED = [
         },
         [(28, 5, 56)],
     ),
+    # boxes of large nullity, where reading one kernel vector leaves out
+    # the most, recorded from a solver that built every kernel vector; W =
+    # {0} for the first, so its system is the whole one
+    (
+        ["x^2 + y^3 + x*y^2"],
+        (1,),
+        (3, 3, 3, 3),
+        {
+            "F": ["x*y^2 + y^3 + x^2"],
+            "a": [1],
+            "b": "s^3 + 3*s^2 + 107/36*s + 35/36",
+            "P": (
+                "1/18*x*dx^2*dy + 1/12*y*dx^2*dy + (-1/54)*x*dx*dy^2 + (-1/27)*y*dx*dy^2 "
+                "+ (-1/108)*y*dy^3 + 1/27*dy^3 + (1/9*s + 13/108)*x*dx^2 + (1/9*s + "
+                "25/216)*y*dx^2 + (1/4*s + 3/8)*dx^2 + (-1/27*s - 5/108)*x*dx*dy + "
+                "(-1/54*s - 1/54)*y*dx*dy + (-2/9*s - 7/27)*dx*dy + (-1/54*s - "
+                "5/216)*y*dy^2 + (1/12*s + 5/72)*dy^2 + (-2/27*s^2 - 1/6*s - 5/54)*x*dx + "
+                "(-1/27*s^2 - 1/12*s - 5/108)*y*dx + (-2/9*s^2 - 43/108*s - 37/216)*dx + "
+                "(-1/27*s^2 - 1/12*s - 5/108)*y*dy + (1/9*s^2 + 25/108*s + 25/216)*dy + "
+                "(4/27*s^3 + 13/27*s^2 + 14/27*s + 5/27)"
+            ),
+        },
+        [(415, 404, 8064)],
+    ),
+    (
+        ["x^3 + y^5"],
+        (1,),
+        (9, 4, 4, 9),
+        {
+            "F": ["y^5 + x^3"],
+            "a": [1],
+            "b": (
+                "s^9 + 9*s^8 + 1606/45*s^7 + 3682/45*s^6 + 2016371/16875*s^5 + "
+                "388871/3375*s^4 + 167056264/2278125*s^3 + 22542364/759375*s^2 + "
+                "17763519136/2562890625*s + 1820955136/2562890625"
+            ),
+            "P": (
+                "(4/3375*s^3 + 4/1125*s^2 + 536/151875*s + 176/151875)*y^3*dx^3*dy^3 + "
+                "(-4/15625*s^3 - 12/15625*s^2 - 536/703125*s - 176/703125)*y*dy^6 + "
+                "1/243*s^4*x^2*dx^5 + 4/405*s^4*x*y*dx^4*dy + (2/225*s^4 + 34/1125*s^3 + "
+                "1937/30375*s^2 + 8258/151875*s + 559856/34171875)*y^2*dx^3*dy^2 + "
+                "(1/625*s^4 + 18/3125*s^3 + 1079/140625*s^2 + 14/3125*s + "
+                "152944/158203125)*dy^5 + 22/243*s^4*x*dx^4 + (106/675*s^4 + "
+                "8606/30375*s^3 + 1324/3375*s^2 + 1796432/6834375*s + "
+                "2322496/34171875)*y*dx^3*dy + (307/405*s^4 + 289/243*s^3 + "
+                "481006/455625*s^2 + 685192/1366875*s + 6094528/61509375)*dx^3"
+            ),
+        },
+        [(119, 160, 6070)],
+    ),
+    (
+        ["x", "y", "x + y"],
+        (1, 1, 1),
+        (4, 1, 3, 6),
+        {
+            "F": ["x", "y", "x + y"],
+            "a": [1, 1, 1],
+            "b": (
+                "s1^4*s2*s3 + 3*s1^3*s2^2*s3 + 3*s1^3*s2*s3^2 + 3*s1^2*s2^3*s3 + "
+                "6*s1^2*s2^2*s3^2 + 3*s1^2*s2*s3^3 + s1*s2^4*s3 + 3*s1*s2^3*s3^2 + "
+                "3*s1*s2^2*s3^3 + s1*s2*s3^4 + s1^4*s2 + s1^4*s3 + 3*s1^3*s2^2 + "
+                "16*s1^3*s2*s3 + 3*s1^3*s3^2 + 3*s1^2*s2^3 + 30*s1^2*s2^2*s3 + "
+                "30*s1^2*s2*s3^2 + 3*s1^2*s3^3 + s1*s2^4 + 16*s1*s2^3*s3 + "
+                "30*s1*s2^2*s3^2 + 16*s1*s2*s3^3 + s1*s3^4 + s2^4*s3 + 3*s2^3*s3^2 + "
+                "3*s2^2*s3^3 + s2*s3^4 + s1^4 + 13*s1^3*s2 + 13*s1^3*s3 + 24*s1^2*s2^2 + "
+                "83*s1^2*s2*s3 + 24*s1^2*s3^2 + 13*s1*s2^3 + 83*s1*s2^2*s3 + "
+                "83*s1*s2*s3^2 + 13*s1*s3^3 + s2^4 + 13*s2^3*s3 + 24*s2^2*s3^2 + "
+                "13*s2*s3^3 + s3^4 + 10*s1^3 + 56*s1^2*s2 + 56*s1^2*s3 + 56*s1*s2^2 + "
+                "162*s1*s2*s3 + 56*s1*s3^2 + 10*s2^3 + 56*s2^2*s3 + 56*s2*s3^2 + 10*s3^3 "
+                "+ 35*s1^2 + 94*s1*s2 + 94*s1*s3 + 35*s2^2 + 94*s2*s3 + 35*s3^2 + 50*s1 + "
+                "50*s2 + 50*s3 + 24"
+            ),
+            "P": (
+                "(s1*s2 + s1*s3 + 2*s1 + s2 + s3 + 2)*y*dx^3*dy + (-3*s1*s2 - s1*s3 - "
+                "4*s1 - 3*s2 - s3 - 4)*y*dx^2*dy^2 + (3*s1*s2 + s2*s3 + 3*s1 + 4*s2 + s3 "
+                "+ 4)*y*dx*dy^3 + (-s1*s2 - s2*s3 - s1 - 2*s2 - s3 - 2)*y*dy^4 + "
+                "(-s1*s2^2 - 2*s1*s2*s3 - s1*s3^2 - 4*s1*s2 - 4*s1*s3 - s2^2 - 2*s2*s3 - "
+                "s3^2 - 4*s1 - 4*s2 - 4*s3 - 4)*dx^3 + (s1^2*s3 + 3*s1*s2^2 + 4*s1*s2*s3 "
+                "+ s1*s3^2 + s1^2 + 7*s1*s2 + 8*s1*s3 + 3*s2^2 + 4*s2*s3 + s3^2 + 7*s1 + "
+                "7*s2 + 7*s3 + 6)*dx^2*dy + (-3*s1*s2^2 - 3*s2^2 + 3*s2*s3 + 3*s1 + 3*s2 "
+                "+ 3*s3 + 6)*dx*dy^2 + (s1*s2^2 + s2^2*s3 - s1*s2 + 2*s2^2 - s2*s3 - 2*s1 "
+                "- 2*s2 - 2*s3 - 4)*dy^3"
+            ),
+        },
+        [(838, 364, 17536)],
+    ),
+]
+
+# the last three boxes one b-degree short: nothing certifies
+EXHAUSTED = [
+    (["x^2 + y^3 + x*y^2"], (1,), (3, 3, 3, 2), [(415, 403, 8058)]),
+    (["x^3 + y^5"], (1,), (9, 4, 4, 8), [(119, 159, 6061)]),
+    (["x", "y", "x + y"], (1, 1, 1), (4, 1, 3, 5), [(838, 336, 17424)]),
 ]
 
 
@@ -210,14 +303,7 @@ PINNED = [
     "F, a, box, want, sizes", PINNED, ids=[", ".join(p[0]) for p in PINNED]
 )
 def test_pinned_certificates_and_system_sizes(monkeypatch, F, a, box, want, sizes):
-    seen = []
-    nullspace = linalg.nullspace
-
-    def spy(rows, ncols):
-        seen.append((len(rows), ncols, sum(len(r) for r in rows)))
-        return nullspace(rows, ncols)
-
-    monkeypatch.setattr(linalg, "nullspace", spy)
+    seen = spy_system_sizes(monkeypatch)
     ctx = make_ctx(["x", "y"], F)
     found = sample_ideal(ctx, a, SolveBounds(*box))
     assert [(name, cert.to_json_dict()) for name, cert in found] == [("mixed", want)]
@@ -227,13 +313,33 @@ def test_pinned_certificates_and_system_sizes(monkeypatch, F, a, box, want, size
     assert seen == sizes
 
 
+@pytest.mark.parametrize("F, a, box, sizes", EXHAUSTED, ids=[", ".join(p[0]) for p in EXHAUSTED])
+def test_pinned_boxes_one_b_degree_short_exhaust(monkeypatch, F, a, box, sizes):
+    seen = spy_system_sizes(monkeypatch)
+    assert find_bs_pair(make_ctx(["x", "y"], F), a, SolveBounds(*box)) is None
+    assert seen == sizes
+
+
+def spy_system_sizes(monkeypatch):
+    """(rows, columns, nonzeros) of every system handed to linalg.nullspace."""
+    seen = []
+    nullspace = linalg.nullspace
+
+    def spy(rows, ncols, start=0):
+        seen.append((len(rows), ncols, sum(len(r) for r in rows)))
+        return nullspace(rows, ncols, start)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    return seen
+
+
 def spy_nullspace(monkeypatch):
     calls = []
     nullspace = linalg.nullspace
 
-    def spy(rows, ncols):
+    def spy(rows, ncols, start=0):
         calls.append(ncols)
-        return nullspace(rows, ncols)
+        return nullspace(rows, ncols, start)
 
     monkeypatch.setattr(linalg, "nullspace", spy)
     return calls
@@ -540,13 +646,15 @@ def test_graded_columns_contain_the_b_block():
                 assert len({sum(map(mul, w, e)) for e in f.terms}) == 1
 
 
-# (rows, columns, nonzeros, nullity) summed over the systems one run of a
-# benchmark workload at seed 1 eliminates.  multi-param read (651, 669,
-# 844, 18) when every b column was assembled; no bp-ladder b column is
-# left out.
+# (rows, columns, nonzeros, kernel vectors returned) summed over the
+# systems one run of a benchmark workload at seed 1 eliminates.  The
+# solver asks only for the vectors of free b columns, so the last figure
+# is the summed dim B; bp-ladder read 95 when every free column's vector
+# was built, multi-param 18 as now.  multi-param read (651, 669, 844, 18)
+# when every b column was assembled; no bp-ladder b column is left out.
 @pytest.mark.parametrize(
     "workload, sizes",
-    [("multi-param", (193, 211, 386, 18)), ("bp-ladder", (304, 301, 2826, 95))],
+    [("multi-param", (193, 211, 386, 18)), ("bp-ladder", (304, 301, 2826, 5))],
 )
 def test_benchmark_system_sizes(monkeypatch, tmp_path, capsys, workload, sizes):
     module = bench_workloads()
@@ -556,8 +664,8 @@ def test_benchmark_system_sizes(monkeypatch, tmp_path, capsys, workload, sizes):
     seen = [0, 0, 0, 0]
     nullspace = linalg.nullspace
 
-    def spy(rows, ncols):
-        basis = nullspace(rows, ncols)
+    def spy(rows, ncols, start=0):
+        basis = nullspace(rows, ncols, start)
         for k, v in enumerate((len(rows), ncols, sum(map(len, rows)), len(basis))):
             seen[k] += v
         return basis
@@ -595,16 +703,17 @@ def test_twists_share_the_weight_grading(monkeypatch):
 
 
 def test_find_bs_pair_eliminates_once(monkeypatch):
+    # counts the forward pass that nullspace and rref share
     calls = []
-    rref = linalg.rref
+    echelon = linalg._echelon
 
     def spy(*args, **kwargs):
         calls.append(1)
-        return rref(*args, **kwargs)
+        return echelon(*args, **kwargs)
 
     # the context's weight space is one elimination of its own, made once
     ctx = make_ctx(["x", "y"], ["x^2 + y^3"])
-    monkeypatch.setattr(linalg, "rref", spy)
+    monkeypatch.setattr(linalg, "_echelon", spy)
     assert find_bs_pair(ctx, (1,), SolveBounds(3, 3, 2, 3)) is not None
     assert len(calls) == 1
     assert find_bs_pair(ctx, (1,), SolveBounds(3, 3, 2, 2)) is None

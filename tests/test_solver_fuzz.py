@@ -57,7 +57,7 @@ def test_pruned_solve_matches_the_whole_system(problem):
     bounds = SolveBounds(*box)
     with mock.patch.object(linalg, "nullspace", wraps=linalg.nullspace) as spy:
         cert = find_bs_pair(ctx, a, bounds)
-    ((_, ncols),) = [call.args for call in spy.call_args_list]
+    ((_, ncols, _),) = [call.args for call in spy.call_args_list]
 
     ucols, taus, rows = full_system(ctx, a, bounds)
     U, T = len(ucols), len(taus)

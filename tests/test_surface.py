@@ -5,6 +5,7 @@ The bundled corpus and the acceptance tests C01-C10 run in-process under
 must be declared in UNREACHED with its reason:
 
 - ``bench-pinned``: bench/tracing.py binds it by name (BENCH_ONLY);
+- ``bench-callee``: only a bench-pinned def calls it;
 - ``guard``: it keeps a value type safe to use: it refuses mutation, or
   makes hash and truth agree with ``==``, although the library never asks;
 - ``debug``: it only serves a developer at a prompt;
@@ -36,6 +37,7 @@ PACKAGE = os.path.dirname(os.path.abspath(bsideal.__file__))
 
 UNREACHED = {
     "hyperplanes.primitive_slopes": "bench-pinned",
+    "linalg.rref": "bench-callee",
     "linalg.rref_rational": "bench-pinned",
     "linalg.solve": "bench-pinned",
     "polynomials.MPoly.__setattr__": "guard",
@@ -49,7 +51,7 @@ UNREACHED = {
     "polynomials._Parser.error": "input-driven",
     "polynomials.Record.__init_subclass__": "import-time",
 }
-REASONS = {"bench-pinned", "guard", "debug", "input-driven", "import-time"}
+REASONS = {"bench-pinned", "bench-callee", "guard", "debug", "input-driven", "import-time"}
 
 
 def load(name):
