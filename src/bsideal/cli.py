@@ -40,6 +40,7 @@ from .polynomials import (
     PolyParseError,
     exceeds_parse_bits,
     format_poly,
+    format_terms,
     grlex_key,
     parse_poly,
     power_size,
@@ -47,6 +48,7 @@ from .polynomials import (
     scalar_text,
 )
 from .snc import (
+    MonZeta,
     ResolutionGraph,
     b_element_size,
     mon_zeta,
@@ -68,7 +70,7 @@ from .solver import (
     verify,
 )
 from .torus import TorusCoset, check_axis_union, exp_image, union_equal
-from .weyl import GermContext
+from .weyl import GermContext, Operator
 
 TASKS = ("bs-find", "bs-verify", "decompose", "snc", "zeta", "exp-compare")
 NEEDS_FIND = {"bs-verify", "decompose", "exp-compare"}
@@ -287,6 +289,68 @@ def corpus_paths() -> list[str]:
     return [os.path.join(cdir, n) for n in names]
 
 
+# report shapes and texts --------------------------------------------------
+
+
+def format_operator(op: Operator, x_names: Sequence[str], s_vars: Sequence[str]) -> str:
+    """Canonical text form: each Q_beta split into c(s) * x^alpha terms,
+    printed by descending (beta, alpha) with d_j as dx etc."""
+    n, ns = len(x_names), len(s_vars)
+    names = [*x_names, *("d" + x for x in x_names)]
+    chunks: list[str] = []
+    one = [((0,) * ns, 1)]
+    for beta in sorted(op, key=grlex_key, reverse=True):
+        split: dict[tuple[int, ...], list] = {}
+        for e, k in op[beta].sorted_terms():
+            split.setdefault(e[:n], []).append((e[n:], k))
+        for alpha in sorted(split, key=grlex_key, reverse=True):
+            # c(s), in descending graded lex: its terms keep their order
+            c = split[alpha]
+            ctext = format_terms(c, s_vars)
+            if not any(alpha + beta):
+                body = f"({ctext})" if len(c) > 1 else ctext
+            else:
+                body = format_terms([(alpha + beta, 1)], names)
+                if c != one:
+                    lead = f"({ctext})" if (len(c) > 1 or ctext.startswith("-")) else ctext
+                    body = f"{lead}*{body}"
+            chunks.append(body if not chunks else f"+ {body}")
+    return " ".join(chunks) or "0"
+
+
+def certificate_json(cert: BSCertificate) -> dict:
+    xn, sn = list(cert.ctx.x_names), s_names(cert.ctx.r)
+    return {
+        "F": [format_poly(f, xn + sn) for f in cert.ctx.F],
+        "a": list(cert.a),
+        "b": format_poly(cert.b, sn),
+        "P": format_operator(cert.P, xn, sn),
+    }
+
+
+def coset_json(c: TorusCoset) -> dict:
+    lhs = format_terms([(c.v, 1)], [f"L{i + 1}" for i in range(len(c.v))])
+    t = c.theta
+    return {
+        "binding": [{"v": list(c.v), "theta": f"{t.numerator}/{t.denominator}"}],
+        "text": "{" + (f"{lhs} = e(2*pi*i*{t})" if t else f"{lhs} = 1") + "}",
+    }
+
+
+def _cosets_json(cosets) -> list[dict]:
+    return [coset_json(c) for c in sorted(set(cosets))]
+
+
+def zeta_json(z: MonZeta) -> dict:
+    names = ["t"] if z.r == 1 else [f"t{i + 1}" for i in range(z.r)]
+    return {
+        "factors": [{"v": list(v), "exp": e} for v, e in z.factors],
+        "text": " * ".join(
+            f"(1 - {format_terms([(v, 1)], names)})^{e}" for v, e in z.factors
+        ) or "1",
+    }
+
+
 def _hyperplanes_json(
     pairs: list[tuple[Hyperplane, int]], a: tuple[int, ...]
 ) -> tuple[list[dict], bool]:
@@ -298,7 +362,7 @@ def _hyperplanes_json(
         rows.append({
             "normal": list(h.normal),
             "intercept": scalar_text(h.intercept),
-            "text": h.text(),
+            "text": format_poly(h.poly(), s_names(len(h.normal))),
             "multiplicity": mult,
             **dict(zip(STRUCTURE_FLAGS, flags)),
             "passes": all(flags),
@@ -310,15 +374,6 @@ def _proportional(p: MPoly, q: MPoly) -> bool:
     """Whether the nonzero p and q agree up to a scalar factor."""
     lead_p, lead_q = (f.terms[max(f.terms, key=grlex_key)] for f in (p, q))
     return p * lead_q == q * lead_p
-
-
-def _cosets_json(cosets) -> list[dict]:
-    out = []
-    for c in sorted(set(cosets)):
-        d = c.to_json_dict()
-        d["text"] = c.text()
-        out.append(d)
-    return out
 
 
 class EntryRunner:
@@ -375,7 +430,7 @@ class EntryRunner:
 
     def task_bs_find(self) -> dict:
         name, cert = self.certificate(self.spec.a)
-        d = cert.to_json_dict()
+        d = certificate_json(cert)
         d["strategy"] = name
         d["order"] = max(map(sum, cert.P), default=-1)
         return {"certificates": [d], "canonical_b": d["b"], "ok": True}
@@ -415,7 +470,7 @@ class EntryRunner:
             )
             if own_graph and solved is not None:
                 b_matches = _proportional(solved[1].b, cert.b)
-        cert_json = cert and cert.to_json_dict()
+        cert_json = cert and certificate_json(cert)
         # the closed-form b reads nothing of the graph but its L_k, and is
         # formatted once, in the certificate
         if own_graph:
@@ -455,9 +510,7 @@ class EntryRunner:
             ok = sabbah_specialize(z, m) == mon_zeta(reweight(graph, m))
             checks.append({"m": list(m), "ok": ok})
         ok = all(c["ok"] for c in checks)
-        out = z.to_json_dict()
-        out["text"] = z.text()
-        return {"zeta": out, "sabbah_checks": checks, "ok": ok}
+        return {"zeta": zeta_json(z), "sabbah_checks": checks, "ok": ok}
 
     def task_exp_compare(self) -> dict:
         spec = self.spec

@@ -41,11 +41,9 @@ from .polynomials import (
     Scalar,
     _coerce,
     _setattr,
-    format_poly,
     grlex_key,
     iter_monomials,
     primitive,
-    s_names,
 )
 from .ratroots import rational_roots
 
@@ -77,10 +75,6 @@ class Hyperplane(Record):
             content, ints = -content, tuple(-v for v in ints)
         return cls(ints, intercept / content)
 
-    @property
-    def r(self) -> int:
-        return len(self.normal)
-
     def poly(self) -> MPoly:
         return linear_form(self.normal, self.intercept)
 
@@ -88,9 +82,6 @@ class Hyperplane(Record):
         """The hyperplane whose zero set is this one translated by k."""
         shift = sum(v * int(x) for v, x in zip(self.normal, k))
         return Hyperplane(self.normal, self.intercept - shift)
-
-    def text(self) -> str:
-        return format_poly(self.poly(), s_names(self.r))
 
     def structure_flags(self, a: Sequence[int]) -> tuple[bool, bool, bool]:
         """The expected codimension-one shape for twist a: nonnegative

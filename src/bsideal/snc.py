@@ -9,15 +9,17 @@ number chi_k of the open stratum.  From that data the module produces:
 * the slope set {primitive L_k},
 * the product b-element prod_k prod_{j=1..L_k.a} (L_k.s + j), its
   factors as hyperplanes, and, for pure monomial collections, the
-  witnessing operator
-  prod_k d_k^(L_k.a), which `solver.verify` confirms exactly,
-* the monodromy zeta factorization prod (1 - t^L_k)^chi_k and its
-  one-variable specializations,
+  witnessing operator prod_k d_k^(L_k.a), which `solver.verify` confirms
+  exactly,
+* the monodromy zeta factorization prod (1 - t^L_k)^chi_k, kept as its
+  exponent data (`MonZeta.factors`), and its one-variable specializations,
 * combinatorial support loci: unions of torsion cosets lambda^L_k = 1.
 
 The support loci are a combinatorial model read off the resolution data;
 they are validated against exponential images of computed zero loci on
-the bundled corpus rather than assumed.
+the bundled corpus rather than assumed.  `ResolutionGraph` reads and
+writes the problem file's graph format; the report's texts are written
+in `cli`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from operator import mul
 from typing import Sequence
 
 from .hyperplanes import Hyperplane, linear_form
-from .polynomials import MPoly, Record, _setattr, format_terms, grlex_key, primitive
+from .polynomials import MPoly, Record, _setattr, grlex_key, primitive
 from .solver import BSCertificate
 from .torus import TorusCoset, cosets_of_character
 from .weyl import GermContext
@@ -271,17 +273,6 @@ class MonZeta(Record):
             acc[v] = acc.get(v, 0) + e
         ordered = sorted(acc.items(), key=lambda t: grlex_key(t[0]))
         _setattr(self, "factors", tuple((v, e) for v, e in ordered if e))
-
-    def text(self) -> str:
-        if not self.factors:
-            return "1"
-        names = ["t"] if self.r == 1 else [f"t{i + 1}" for i in range(self.r)]
-        return " * ".join(
-            f"(1 - {format_terms([(v, 1)], names)})^{e}" for v, e in self.factors
-        )
-
-    def to_json_dict(self) -> dict:
-        return {"factors": [{"v": list(v), "exp": e} for v, e in self.factors]}
 
 
 def mon_zeta(graph: ResolutionGraph) -> MonZeta:

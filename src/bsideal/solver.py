@@ -60,14 +60,13 @@ from operator import add, sub
 from typing import Callable, Sequence
 
 from . import linalg
-from .polynomials import MPoly, Record, Scalar, _pack, _width, format_poly, iter_monomials
+from .polynomials import MPoly, Record, Scalar, _pack, _width, iter_monomials
 from .weyl import (
     GermContext,
     GermElement,
     Operator,
     apply,
     derivative_table,
-    format_operator,
     partial_derivative,
 )
 
@@ -105,21 +104,14 @@ class SolveBounds(Record):
 
 
 class BSCertificate(Record):
+    """b * f^s == P . f^(s + a) for the F of ctx; `cli.certificate_json`
+    writes its report form."""
+
     __slots__ = ("ctx", "a", "b", "P")
     ctx: GermContext
     a: tuple[int, ...]
     b: MPoly
     P: Operator
-
-    def to_json_dict(self) -> dict:
-        sn = list(self.ctx.s_vars)
-        xn = list(self.ctx.x_names)
-        return {
-            "F": [format_poly(f, xn + sn) for f in self.ctx.F],
-            "a": list(self.a),
-            "b": format_poly(self.b, sn),
-            "P": format_operator(self.P, xn, sn),
-        }
 
 
 def _times(p: MPoly, d: int) -> MPoly:

@@ -6,7 +6,7 @@ represented through their angle vectors, so all membership arithmetic
 happens in Q/Z and stays exact.  The `TorusCoset` constructor is the one
 way to build a coset, and it canonicalizes: it makes the first nonzero
 entry of v positive (flipping the sign of theta with it) and reduces theta
-into [0, 1), hence equal data always compares and serializes identically.
+into [0, 1), hence equal data always compares, hashes and prints identically.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .hyperplanes import Hyperplane
-from .polynomials import Record, _coerce, _setattr, format_terms, primitive
+from .polynomials import Record, _coerce, _setattr, primitive
 
 
 class TorusCoset(Record):
@@ -38,15 +38,6 @@ class TorusCoset(Record):
             v, theta = tuple(-x for x in v), -theta
         _setattr(self, "v", v)
         _setattr(self, "theta", theta % 1)
-
-    def to_json_dict(self) -> dict:
-        t = f"{self.theta.numerator}/{self.theta.denominator}"
-        return {"binding": [{"v": list(self.v), "theta": t}]}
-
-    def text(self) -> str:
-        lhs = format_terms([(self.v, 1)], [f"L{i + 1}" for i in range(len(self.v))])
-        t = self.theta
-        return "{" + (f"{lhs} = e(2*pi*i*{t})" if t else f"{lhs} = 1") + "}"
 
 
 def cosets_of_character(v: Sequence[int]) -> tuple[TorusCoset, ...]:

@@ -41,10 +41,7 @@ from operator import attrgetter, mul, sub
 from typing import Callable, Sequence
 
 from .linalg import nullspace
-from .polynomials import (
-    MPoly, Record, Scalar, _setattr, _width, format_terms, grlex_key, iter_monomials,
-    primitive, s_names,
-)
+from .polynomials import MPoly, Record, Scalar, _setattr, _width, iter_monomials, primitive
 
 Exps = tuple[int, ...]
 
@@ -53,32 +50,6 @@ Exps = tuple[int, ...]
 # {beta: Q_beta}: each beta has length n, and each Q_beta is a nonzero
 # MPoly in Q[x, s] (x block first), the ring of germ numerators.
 Operator = dict[Exps, MPoly]
-
-
-def format_operator(op: Operator, x_names: Sequence[str], s_names: Sequence[str]) -> str:
-    """Canonical text form: each Q_beta split into c(s) * x^alpha terms,
-    printed by descending (beta, alpha) with d_j as dx etc."""
-    n, ns = len(x_names), len(s_names)
-    names = [*x_names, *("d" + x for x in x_names)]
-    chunks: list[str] = []
-    one = [((0,) * ns, 1)]
-    for beta in sorted(op, key=grlex_key, reverse=True):
-        split: dict[Exps, list[tuple[Exps, Scalar]]] = {}
-        for e, k in op[beta].sorted_terms():
-            split.setdefault(e[:n], []).append((e[n:], k))
-        for alpha in sorted(split, key=grlex_key, reverse=True):
-            # c(s), in descending graded lex: its terms keep their order
-            c = split[alpha]
-            ctext = format_terms(c, s_names)
-            if not any(alpha + beta):
-                body = f"({ctext})" if len(c) > 1 else ctext
-            else:
-                body = format_terms([(alpha + beta, 1)], names)
-                if c != one:
-                    lead = f"({ctext})" if (len(c) > 1 or ctext.startswith("-")) else ctext
-                    body = f"{lead}*{body}"
-            chunks.append(body if not chunks else f"+ {body}")
-    return " ".join(chunks) or "0"
 
 
 # ---------------------------------------------------------------------
@@ -91,7 +62,7 @@ class GermContext(Record):
 
     Each f_i is given in Q[x] and must be nonzero; F stores it in the
     combined ring Q[x, s] with the x block first, and f_i^(s_i + e_i)
-    carries the i-th name of `s_names(len(F))`.
+    carries the i-th of the r = len(F) parameters.
 
     `weights` is a basis of primitive integer vectors of the weight space
     W = {w in Q^n : every f_i is w-homogeneous}, the kernel of the
@@ -102,14 +73,12 @@ class GermContext(Record):
     solver box by w-degree; it is built on first use and kept in
     `_grading_cache`, so the twists solved in one box share it.
 
-    Two contexts are equal when their x names and F are: the s names and
-    the weights follow from those, and the three caches (`f_power`,
-    `product_rule` and `grading`) stay out.
+    Two contexts are equal when their x names and F are: the weights
+    follow from those, and the three caches (`f_power`, `product_rule` and
+    `grading`) stay out.
     """
 
-    __slots__ = (
-        "x_names", "s_vars", "F", "weights", "_power_cache", "_rule_cache", "_grading_cache"
-    )
+    __slots__ = ("x_names", "F", "weights", "_power_cache", "_rule_cache", "_grading_cache")
     _values = property(attrgetter("x_names", "F"))
 
     def __init__(self, x_names: Sequence[str], F: Sequence[MPoly]):
@@ -131,7 +100,7 @@ class GermContext(Record):
             primitive([w.get(j, 0) for j in range(n)])[1] for w in nullspace(diffs, n)
         )
         lifted = tuple(f.padded(0, r) for f in F)
-        super().__init__(tuple(x_names), tuple(s_names(r)), lifted, weights, {}, {}, {})
+        super().__init__(tuple(x_names), lifted, weights, {}, {}, {})
 
     @property
     def n(self) -> int:
@@ -139,7 +108,7 @@ class GermContext(Record):
 
     @property
     def r(self) -> int:
-        return len(self.s_vars)
+        return len(self.F)
 
     @property
     def nvars(self) -> int:

@@ -12,7 +12,7 @@ from bsideal.hyperplanes import (
     linear_form,
     primitive_slopes,
 )
-from bsideal.polynomials import MPoly, parse_poly, s_names
+from bsideal.polynomials import MPoly, format_poly, parse_poly, s_names
 
 
 def sp(text, r):
@@ -323,4 +323,5 @@ def test_sorted_orders_by_normal_then_intercept():
 
 
 def test_text():
-    assert Hyperplane((1, 2), Fraction(1, 2)).text() == "s1 + 2*s2 + 1/2"
+    h = Hyperplane((1, 2), Fraction(1, 2))
+    assert format_poly(h.poly(), s_names(2)) == "s1 + 2*s2 + 1/2"

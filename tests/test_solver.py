@@ -11,7 +11,7 @@ from operator import add, ge, mul
 import pytest
 
 from bsideal import linalg, solver, weyl
-from bsideal.cli import corpus_paths, load_specs, main
+from bsideal.cli import certificate_json, corpus_paths, load_specs, main
 from bsideal.hyperplanes import Hyperplane, extract_hyperplanes
 from bsideal.polynomials import MPoly, format_poly, grlex_key, iter_monomials, parse_poly, s_names
 from bsideal.snc import snc_certificate
@@ -306,7 +306,7 @@ def test_pinned_certificates_and_system_sizes(monkeypatch, F, a, box, want, size
     seen = spy_system_sizes(monkeypatch)
     ctx = make_ctx(["x", "y"], F)
     found = sample_ideal(ctx, a, SolveBounds(*box))
-    assert [(name, cert.to_json_dict()) for name, cert in found] == [("mixed", want)]
+    assert [(name, certificate_json(cert)) for name, cert in found] == [("mixed", want)]
     (_, cert), = found
     assert cert.b == sp(want["b"], r=len(F))
     assert verify(cert)
@@ -861,7 +861,7 @@ def test_cell_cap_bounds_the_system_before_assembly():
 def test_certificate_json():
     ctx = make_ctx(["x"], ["x"])
     cert = find_bs_pair(ctx, (1,), SolveBounds(1, 0, 0, 1))
-    assert cert.to_json_dict() == {
+    assert certificate_json(cert) == {
         "F": ["x"],
         "a": [1],
         "b": "s + 1",

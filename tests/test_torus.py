@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bsideal.cli import coset_json
 from bsideal.hyperplanes import Hyperplane
 from bsideal.torus import (
     TorusCoset,
@@ -113,11 +114,11 @@ def test_check_axis_union():
 
 
 def test_json_and_text():
-    c = TorusCoset((1,), Fraction(1, 2))
-    assert c.to_json_dict() == {"binding": [{"v": [1], "theta": "1/2"}]}
-    assert c.text() == "{L1 = e(2*pi*i*1/2)}"
-    c = TorusCoset((1, 2), Fraction(0))
-    assert c.text() == "{L1*L2^2 = 1}"
+    assert coset_json(TorusCoset((1,), Fraction(1, 2))) == {
+        "binding": [{"v": [1], "theta": "1/2"}],
+        "text": "{L1 = e(2*pi*i*1/2)}",
+    }
+    assert coset_json(TorusCoset((1, 2), Fraction(0)))["text"] == "{L1*L2^2 = 1}"
     # a character may have negative entries
     c = TorusCoset((1, -2), Fraction(1, 3))
-    assert c.text() == "{L1*L2^-2 = e(2*pi*i*1/3)}"
+    assert coset_json(c)["text"] == "{L1*L2^-2 = e(2*pi*i*1/3)}"

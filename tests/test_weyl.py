@@ -12,14 +12,9 @@ from operator import sub
 
 import pytest
 
+from bsideal.cli import format_operator
 from bsideal.polynomials import MPoly, iter_monomials, parse_poly
-from bsideal.weyl import (
-    GermContext,
-    GermElement,
-    derivative_table,
-    format_operator,
-    partial_derivative,
-)
+from bsideal.weyl import GermContext, GermElement, derivative_table, partial_derivative
 from germ_helpers import applied, germ_sum, weyl_operator
 
 
